@@ -77,8 +77,7 @@ class DualManager(KVCacheManagerBase):
     def needs_allocation(self, seq: SequenceSpec, target_global: int) -> bool:
         # Sides are independent (allocate_up_to has no cross-side
         # rollback), so skipping is safe exactly when every side would
-        # no-op.  allocate_pages stays the base-class None: the sides'
-        # group ids collide, so a composite batch has no unique target.
+        # no-op.
         return any(m.needs_allocation(seq, target_global) for m in self.managers)
 
     def allocate_vision(self, seq: SequenceSpec) -> bool:
@@ -129,7 +128,7 @@ class DualManager(KVCacheManagerBase):
     def admission_version(self) -> int:
         # Sum of monotone per-side counters: equal sums imply every side
         # is unchanged, so the composite verdict is unchanged.  Any side
-        # without a cache (-1) disables the skip for the composite.
+        # without a pool version (-1) disables the skip for the composite.
         total = 0
         for manager in self.managers:
             version = manager.admission_version()

@@ -196,7 +196,7 @@ def _traced_run(args):
     gpu = GPUS[args.gpu]
     kv = int(args.kv_gib * GIB) if args.kv_gib else kv_budget(model, gpu).kv_bytes
     requests = build_workload(args.workload, args.requests, model, args.seed)
-    events = EventBus(capacity=0)
+    events = EventBus()
     telemetry = BusTelemetry(events)
     tracer = Tracer()
     manager = make_manager(args.system, model, kv)

@@ -12,26 +12,24 @@ observable without print-debugging:
   batch call, carrying every page of the batch in a single record),
   :class:`LargePageCarved` when a large page is
   carved from the LCM pool, :class:`PageEvicted` for small- and large-page
-  evictions, :class:`PageReleased` when a request's last reference
-  drops, and :class:`PageAcquired` when a prefix-cache hit reactivates an
-  evictable page;
+  evictions, and :class:`PageReleased` when a request's last reference
+  drops;
 * the KV manager emits :class:`PrefixHit` per prefix-cache lookup;
 * the engine emits the request lifecycle (:class:`RequestQueued`,
   :class:`RequestAdmitted`, :class:`RequestPreempted`,
   :class:`RequestFinished`, :class:`RequestFailed`) and one
   :class:`StepCompleted` per engine step.
 
-Consumers subscribe callbacks (optionally filtered by event type) or read
-the bounded ring buffer after the fact;
-:class:`~repro.engine.metrics.MetricsCollector` rebuilds the engine's
-step/preemption/prefix-hit counters purely from these events.
+Consumers subscribe callbacks (optionally filtered by event type); the bus
+keeps nothing itself, so an event type nobody subscribes to is never even
+constructed.  :class:`~repro.engine.metrics.MetricsCollector` rebuilds the
+engine's step/preemption/prefix-hit counters purely from these events.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple, Type
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Type
 
 __all__ = [
     "EventBus",
@@ -40,7 +38,6 @@ __all__ = [
     "PageAllocated",
     "PagesAllocated",
     "LargePageCarved",
-    "PageAcquired",
     "PageEvicted",
     "PageEvictedToHost",
     "PageReleased",
@@ -122,21 +119,6 @@ class LargePageCarved(Event):
 
 
 @dataclass(frozen=True)
-class PageAcquired(Event):
-    """A prefix-cache hit reactivated a cached page (EVICTABLE -> USED).
-
-    Emitted only on the state transition, not on extra references taken on
-    an already-active page: the transition is what moves the page out of
-    the evictor and so changes the pool's reclaimable accounting (which
-    admission bounds depend on -- see :mod:`repro.core.admission`).
-    """
-
-    group_id: str
-    page_id: int
-    request_id: str
-
-
-@dataclass(frozen=True)
 class PageEvicted(Event):
     """An evictable page was reclaimed (``level`` is ``small``/``large``).
 
@@ -183,9 +165,7 @@ class QuotaResized(Event):
     back to the LCM pool (each also published its own
     :class:`PageEvicted` record); ``num_owned`` is the group's ownership
     *after* the resize, which may still exceed ``new_quota`` -- quotas are
-    soft, and pages pinned by USED small pages are never reclaimed.  A
-    quota move changes the admission bounds (carve headroom), so this is
-    an :class:`~repro.core.admission.AdmissionCache` invalidator.
+    soft, and pages pinned by USED small pages are never reclaimed.
     """
 
     group_id: str
@@ -231,9 +211,7 @@ class AdmissionBlocked(Event):
     genuinely blocked admission).  ``queue_depth`` counts the waiting
     requests stuck behind the blocked head -- together with eviction
     provenance, preemptions, and the waste timeline this is the pressure
-    input the ROADMAP's ``PoolResizer`` acts on.  Not an
-    :class:`~repro.core.admission.AdmissionCache` invalidator: a failed
-    probe is count-net-zero on the pool.
+    input the ROADMAP's ``PoolResizer`` acts on.
     """
 
     request_id: str
@@ -300,46 +278,31 @@ _Handler = Callable[[Event], None]
 
 
 class EventBus:
-    """Synchronous pub/sub bus with a bounded ring buffer.
+    """Synchronous pub/sub dispatcher.
 
-    Emission is cheap enough for per-page-allocation use: one ring append,
-    one counter bump, and subscriber dispatch only for matching types.
-    The ring buffer keeps the last ``capacity`` events for after-the-fact
-    inspection (tests, debugging); subscribers see *every* event
-    regardless of ring capacity.
-
-    ``capacity=0`` disables ring capture entirely: the bus becomes a pure
-    dispatcher, and :meth:`has_subscribers` returns ``False`` for event
-    types nobody listens to.  Emit call sites are expected to guard event
-    construction with that check (the "event-bus fast path"), so a
-    capture-free bus makes hot-path emission close to free.
+    The bus stores nothing: :meth:`emit` calls every subscriber whose type
+    filter matches, and :meth:`has_subscribers` returns ``False`` for event
+    types nobody listens to.  Emit call sites guard event construction with
+    that check (the "event-bus fast path"), so emission on an unobserved
+    bus is close to free.  Consumers that want history subscribe a
+    recorder (``bus.subscribe(seen.append, [PrefixHit])``).
     """
 
-    def __init__(self, capacity: int = 1024) -> None:
-        self._capture = capacity > 0
-        self._ring: Deque[Event] = deque(maxlen=capacity)
+    def __init__(self) -> None:
         self._subscribers: List[Tuple[Optional[Tuple[Type[Event], ...]], _Handler]] = []
         # Per-event-type interest cache for has_subscribers(); invalidated
         # on every subscribe/unsubscribe so lookups stay O(1) amortised.
         self._interest: Dict[Type[Event], bool] = {}
-        self.counts: "Counter[str]" = Counter()
-
-    def __len__(self) -> int:
-        return len(self._ring)
 
     def has_subscribers(self, event_type: Type[Event]) -> bool:
-        """Would an emitted ``event_type`` reach any consumer right now?
+        """Would an emitted ``event_type`` reach any subscriber right now?
 
-        True when ring capture is enabled (the ring itself is a consumer:
-        tests and debuggers read it after the fact) or when at least one
-        subscriber's type filter matches.  Call sites use this to skip
-        constructing event dataclasses nobody would see::
+        Call sites use this to skip constructing event dataclasses nobody
+        would see::
 
             if events is not None and events.has_subscribers(PageEvicted):
                 events.emit(PageEvicted(...))
         """
-        if self._capture:
-            return True
         cached = self._interest.get(event_type)
         if cached is None:
             cached = any(
@@ -350,10 +313,7 @@ class EventBus:
         return cached
 
     def emit(self, event: Event) -> None:
-        """Publish ``event`` to the ring buffer and all matching handlers."""
-        if self._capture:
-            self._ring.append(event)
-        self.counts[type(event).__name__] += 1
+        """Publish ``event`` to every matching handler."""
         for types, handler in self._subscribers:
             if types is None or isinstance(event, types):
                 handler(event)
@@ -384,24 +344,6 @@ class EventBus:
         self._interest.clear()
         return len(self._subscribers) < before
 
-    def recent(
-        self,
-        event_type: Optional[Type[Event]] = None,
-        limit: Optional[int] = None,
-    ) -> List[Event]:
-        """Ring-buffer contents, oldest first, optionally filtered by type."""
-        events: List[Event] = list(self._ring)
-        if event_type is not None:
-            events = [e for e in events if isinstance(e, event_type)]
-        if limit is not None:
-            events = events[-limit:]
-        return events
-
-    def clear(self) -> None:
-        """Drop the ring buffer and counters (subscribers stay registered)."""
-        self._ring.clear()
-        self.counts.clear()
-
 
 class EventFanout(EventBus):
     """A bus view that multicasts every event to a set of member buses.
@@ -411,20 +353,19 @@ class EventFanout(EventBus):
     observed by N manager views, each wrapping engine owning its *own*
     per-engine bus.  The allocator holds a single ``events`` reference, so
     without a fan-out the last ``bind_events`` wins and every sibling's
-    :class:`~repro.core.admission.AdmissionCache` silently stops receiving
-    pool-event invalidations.  Installing an ``EventFanout`` as the
-    allocator's bus gives every bound view the full pool feed while each
-    engine's request-lifecycle traffic stays on its own bus.
+    subscribers silently stop receiving pool events.  Installing an
+    ``EventFanout`` as the allocator's bus gives every bound view the full
+    pool feed while each engine's request-lifecycle traffic stays on its
+    own bus.
 
     The fan-out is itself an :class:`EventBus` (direct subscribers and the
-    interest cache work as usual) but captures nothing locally by default:
-    members own the ring buffers.  :meth:`has_subscribers` unions member
+    interest cache work as usual).  :meth:`has_subscribers` unions member
     interest so the emit-guard fast path stays exact -- an event type
     nobody on any member bus listens to is still never constructed.
     """
 
     def __init__(self, *members: "EventBus") -> None:
-        super().__init__(capacity=0)
+        super().__init__()
         self._members: List[EventBus] = []
         for member in members:
             self.attach(member)

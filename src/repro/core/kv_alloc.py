@@ -10,7 +10,7 @@ vision-embedding pages, and answer the scheduler's capacity questions
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .admission import AdmissionCache
 from .kv_binding import BindingTableMixin, GroupBinding, policy_pages_to_write
@@ -35,7 +35,7 @@ class AllocationMixin(BindingTableMixin):
     declared attributes (``specs``, ``policies``, ``allocator``, ...) the
     composing manager supplies.  The composing manager also supplies
     ``_admission`` (see :class:`~repro.core.admission.AdmissionCache`),
-    which backs the cached :meth:`can_admit` fast path.
+    the demand memo behind :meth:`can_admit`.
     """
 
     _admission: AdmissionCache
@@ -93,21 +93,6 @@ class AllocationMixin(BindingTableMixin):
                     self.allocator.release_page(group_id, page_id, cacheable=False)
             return False
         return True
-
-    def allocate_pages(
-        self, group_id: str, request_id: str, n: int
-    ) -> Optional[List[int]]:
-        """Batch-allocate ``n`` pages of ``group_id`` (protocol surface).
-
-        Thin delegation to
-        :meth:`~repro.core.two_level.TwoLevelAllocator.allocate_pages`:
-        all-or-nothing, one :class:`~repro.core.events.PagesAllocated`
-        record per successful call.  Returns page ids in allocation order.
-        """
-        pages = self.allocator.allocate_pages(group_id, request_id, n)
-        if pages is None:
-            return None
-        return [page.page_id for page in pages]
 
     def needs_allocation(self, seq: SequenceSpec, target_global: int) -> bool:
         """Whether :meth:`allocate_up_to` would actually allocate anything.
@@ -274,32 +259,17 @@ class AllocationMixin(BindingTableMixin):
     ) -> bool:
         """Admission control: will the whole prompt's footprint ever fit?
 
-        Cached evaluation of the same bound :meth:`can_admit_uncached`
-        recomputes from scratch: the pool side comes from the
-        event-invalidated :class:`~repro.core.admission.AdmissionCache`
-        snapshot, the demand side from its per-request memo, and only the
-        held-page subtraction and peak-residency correction are evaluated
-        per probe (held references and ``chunk_tokens`` change between
-        probes).  ``tests/test_admission_cache.py`` property-tests the two
-        paths against each other under randomized churn.
+        Evaluates the same bound :meth:`can_admit_uncached` recomputes from
+        scratch, with the demand side taken from the per-request
+        :class:`~repro.core.admission.AdmissionCache` memo and the pool side
+        read live from the allocator's O(1) counters.  Only the held-page
+        subtraction and peak-residency correction are evaluated per probe
+        (held references and ``chunk_tokens`` change between probes).
+        ``tests/test_admission_cache.py`` property-tests the two paths
+        against each other under randomized churn.
         """
-        cache = self._admission
-        # The manager's own bus carries every pool event: a private
-        # allocator emits on it directly, a shared allocator's EventFanout
-        # multicasts onto it.  (The allocator-side bus is the wrong key
-        # here -- on a shared pool it is the fan-out, not this view's bus.)
-        bus = self.events
-        if bus is None or self.allocator.events is None:
-            # No invalidation signal reaches the cache: fall back to the
-            # full recompute rather than trusting a snapshot nothing
-            # dirties.
-            return self.can_admit_uncached(seq, watermark_pages, chunk_tokens)
-        if cache.bus is not bus:
-            # bind_events swapped the manager's bus underneath the cache;
-            # resubscribe before trusting anything cached.
-            cache.bind(bus)
-        snap = cache.snapshot()
-        entry = cache.demand(seq, self.specs, self.policies)
+        allocator = self.allocator
+        entry = self._admission.demand(seq, self.specs, self.policies)
         bindings = self._bindings.get(seq.request_id)
         large_needed = 0
         for group_id, gross in entry.gross.items():
@@ -327,36 +297,38 @@ class AllocationMixin(BindingTableMixin):
                 # mostly served from its group's own cache gets refused.
                 if peak_pages - held > n:
                     n = peak_pages - held
-            deficit = n + watermark_pages - snap.local[group_id]
+            group = allocator.groups[group_id]
+            # Small pages inside the group's *own* fully-evictable large
+            # pages are claimable through the shared large-page term, so
+            # ``local`` leaves them out (see can_admit_uncached).
+            own_fe = allocator.fully_evictable_large_pages(group_id)
+            spl = group.small_per_large
+            local = group.num_free + len(group.evictor) - own_fe * spl
+            deficit = n + watermark_pages - local
             if deficit > 0:
-                need = -(-deficit // snap.small_per_large[group_id])
-                headroom = snap.quota_headroom[group_id]
+                need = -(-deficit // spl)
+                quota = group.quota
                 if (
-                    headroom is not None
-                    and need - snap.own_fully_evictable[group_id] > headroom
+                    quota is not None
+                    and need - own_fe
+                    > max(0, quota - allocator.large_pages_owned(group_id))
                 ):
                     # Large pages beyond the group's own fully-evictable
                     # ones must be carved, and the soft quota blocks the
                     # carve regardless of shared availability.
                     return False
                 large_needed += need
-        return large_needed <= snap.available
+        return large_needed <= allocator.lcm.num_free + len(allocator.large_evictor)
 
     def admission_version(self) -> int:
         """Monotone pool-state version for admission-verdict reuse.
 
-        Equal versions across probes guarantee the pool inputs of
+        The allocator's :attr:`~repro.core.two_level.TwoLevelAllocator.pool_version`:
+        equal versions across probes guarantee the pool inputs of
         :meth:`can_admit` are unchanged, so the engine may skip re-probing
-        a blocked head-of-queue request entirely.  Returns ``-1`` (never
-        skip) when the allocator has no bus to publish invalidations on.
+        a blocked head-of-queue request entirely.
         """
-        bus = self.events
-        if bus is None or self.allocator.events is None:
-            return -1
-        cache = self._admission
-        if cache.bus is not bus:
-            cache.bind(bus)
-        return cache.version
+        return self.allocator.pool_version
 
     def can_admit_uncached(
         self, seq: SequenceSpec, watermark_pages: int = 0, chunk_tokens: int = 8192

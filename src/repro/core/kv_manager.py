@@ -137,11 +137,10 @@ class JengaKVCacheManager(
             }
             self.allocator = shared_allocator
             # One pool, many views: the allocator's bus is a fan-out over
-            # every bound view's own bus, so pool events (and with them
-            # each view's AdmissionCache invalidation) reach all siblings
-            # while each manager keeps its private per-engine bus.  A
-            # pre-existing plain bus on the allocator stays attached as a
-            # fan-out member, preserving its feed.
+            # every bound view's own bus, so pool events reach all
+            # siblings while each manager keeps its private per-engine
+            # bus.  A pre-existing plain bus on the allocator stays
+            # attached as a fan-out member, preserving its feed.
             sink = shared_allocator.events
             if not isinstance(sink, EventFanout):
                 sink = EventFanout() if sink is None else EventFanout(sink)
@@ -184,18 +183,17 @@ class JengaKVCacheManager(
         if offload is not None and enable_prefix_caching:
             self.host_pool = HostMemoryPool(offload)
             self.allocator.eviction_listener = self._on_gpu_eviction
-        # Admission-bound cache: event-invalidated pool snapshot plus
-        # per-request demand memo behind can_admit (see repro.core.admission).
-        self._admission = AdmissionCache(self.allocator, self.events)
+        # Per-request demand memo behind can_admit (see repro.core.admission).
+        self._admission = AdmissionCache()
 
     def bind_events(self, events: EventBus) -> None:
         """Adopt ``events`` for this manager view.
 
         On a shared allocator the pool bus is an
         :class:`~repro.core.events.EventFanout`; this view's old bus is
-        swapped for ``events`` inside it, leaving every sibling's feed (and
-        admission invalidation) intact.  A privately-owned allocator simply
-        follows the manager onto the new bus.
+        swapped for ``events`` inside it, leaving every sibling's feed
+        intact.  A privately-owned allocator simply follows the manager
+        onto the new bus.
         """
         sink = self.allocator.events
         if isinstance(sink, EventFanout):
@@ -203,7 +201,6 @@ class JengaKVCacheManager(
         else:
             self.allocator.events = events
         self.events = events
-        self._admission.bind(events)
 
     def foreign_used_bytes(self) -> int:
         """USED bytes co-tenant views hold in a shared allocator.
@@ -323,8 +320,3 @@ class JengaKVCacheManager(
     def has_vision_cache(self) -> bool:
         """Whether this manager caches vision-encoder outputs (Section 6.2)."""
         return any(s.kind == VISION_EMBEDDING for s in self.specs.values())
-
-    @property
-    def kernel_slowdown(self) -> float:
-        """Attention-kernel penalty of the page-layout strategy (§4.4)."""
-        return 2.0 if self.allocator.lcm.strategy == "gcd" else 1.0

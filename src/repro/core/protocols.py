@@ -25,7 +25,7 @@ scheduler's capacity probes and ``stats`` the memory snapshot.
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, List, Optional, Protocol, runtime_checkable
+from typing import Any, Dict, FrozenSet, Optional, Protocol, runtime_checkable
 
 from .events import EventBus
 from .sequence import SequenceSpec
@@ -49,18 +49,6 @@ class KVCacheManager(Protocol):
 
     def allocate_up_to(self, seq: SequenceSpec, target_global: int) -> bool:
         """Back the first ``target_global`` tokens with pages (False: preempt)."""
-        ...
-
-    def allocate_pages(
-        self, group_id: str, request_id: str, n: int
-    ) -> Optional[List[int]]:
-        """Batch-allocate ``n`` pages of ``group_id``; one event per call.
-
-        Returns the allocated page ids in order, or ``None`` when the batch
-        cannot be satisfied whole (all-or-nothing, like the per-page path).
-        Backends without a batched allocator return ``None``
-        unconditionally and callers fall back to ``allocate_up_to``.
-        """
         ...
 
     def needs_allocation(self, seq: SequenceSpec, target_global: int) -> bool:
@@ -112,8 +100,8 @@ class KVCacheManager(Protocol):
         self, seq: SequenceSpec, watermark_pages: int = 0, chunk_tokens: int = 8192
     ) -> bool:
         """Uncached :meth:`can_admit` -- the ``stats_slow()``-style
-        cross-check for the admission-bound cache (same verdict, no
-        snapshot/memo reuse)."""
+        cross-check for the admission demand memo (same verdict, nothing
+        reused)."""
         ...
 
     def admission_version(self) -> int:
@@ -122,7 +110,7 @@ class KVCacheManager(Protocol):
         Equal versions across probes mean the pool inputs of
         :meth:`can_admit` are unchanged, so the engine may skip
         re-probing a blocked head-of-queue request.  ``-1`` disables the
-        skip (no cache, or no bus to publish invalidations on)."""
+        skip (a backend that tracks no pool version)."""
         ...
 
     def stats(self) -> AllocatorStats:
@@ -235,19 +223,13 @@ class KVCacheManagerBase:
         # its can_admit *is* the uncached path.
         return self.can_admit(seq, watermark_pages, chunk_tokens)
 
-    def allocate_pages(
-        self, group_id: str, request_id: str, n: int
-    ) -> Optional[List[int]]:
-        # No batched allocator by default; callers fall back to the
-        # per-page path behind allocate_up_to.
-        return None
-
     def needs_allocation(self, seq: SequenceSpec, target_global: int) -> bool:
         # Conservative default: always let allocate_up_to decide.
         return True
 
     def admission_version(self) -> int:
-        # -1: no cache, never skip a re-probe on this manager's account.
+        # -1: no pool version, never skip a re-probe on this manager's
+        # account.
         return -1
 
     def allocate_vision(self, seq: SequenceSpec) -> bool:

@@ -10,10 +10,11 @@ monitor's per-group pressure components together with the allocator's
 live ownership counters into a :class:`GroupPressure` observation per
 group, asks its :class:`ResizePolicy` for desired quotas, and applies the
 changes through :meth:`~repro.core.two_level.TwoLevelAllocator.set_quota`
--- which deflates over-quota groups (fully-evictable large pages first)
+-- which deflates over-quota groups (fully-evictable large pages first),
+moves the allocator's pool version (so blocked admission heads re-probe)
 and publishes one guarded :class:`~repro.core.events.QuotaResized` record
-per move, so admission snapshots, telemetry counters, and Chrome-trace
-timelines all see every resize.
+per move, so telemetry counters and Chrome-trace timelines see every
+resize.
 
 Three registered policies make elastic and fixed partitioning comparable
 on the same workload (``benchmarks/bench_allocator.py``'s elastic sweep):

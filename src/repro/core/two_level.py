@@ -35,7 +35,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .events import (
     EventBus,
     LargePageCarved,
-    PageAcquired,
     PageAllocated,
     PageEvicted,
     PageReleased,
@@ -242,6 +241,12 @@ class TwoLevelAllocator:
         # PageReleased records; None keeps emission free for direct
         # constructions (property tests, micro-benchmarks).
         self.events = events
+        # Monotone pool-state version: bumped at every state-change choke
+        # point (_bump, _carve_and_take, _evict_large_page,
+        # _return_large_page, a quota change), independent of any bus.
+        # Admission verdicts are a function of the counters those points
+        # move, so an unchanged version means an unchanged pool side.
+        self._pool_version = 0
 
     # ------------------------------------------------------------------
     # The five-step allocation algorithm
@@ -379,6 +384,7 @@ class TwoLevelAllocator:
         return None
 
     def _carve_and_take(self, group: GroupAllocator, request_id: str) -> SmallPage:
+        self._pool_version += 1
         large = self.lcm.allocate(group.spec.group_id)
         if self.events is not None and self.events.has_subscribers(LargePageCarved):
             self.events.emit(LargePageCarved(
@@ -453,10 +459,6 @@ class TwoLevelAllocator:
             self._bump(page, PageState.EVICTABLE, PageState.USED)
             page.state = PageState.USED
             group.note_fill(page.num_tokens)
-            # The page just left the evictor (and possibly shrank the
-            # fully-evictable large-page set): admission bounds changed.
-            if self.events is not None and self.events.has_subscribers(PageAcquired):
-                self.events.emit(PageAcquired(group_id, page.page_id, request_id))
         page.ref_count += 1
         page.request_id = request_id
         return page
@@ -477,8 +479,7 @@ class TwoLevelAllocator:
                     group.evictor.discard(old_page_id)
                     self._free_page(group, old)
                     # The displaced copy freed outright without passing
-                    # through release_page: publish the state change so
-                    # admission bounds don't go stale.
+                    # through release_page: publish the state change.
                     if self.events is not None and self.events.has_subscribers(PageReleased):
                         self.events.emit(PageReleased(group_id, old_page_id, False))
 
@@ -543,6 +544,7 @@ class TwoLevelAllocator:
 
     def _evict_large_page(self, large_id: int) -> None:
         """Evict every (evictable) small page of ``large_id`` and free it."""
+        self._pool_version += 1
         large = self.lcm.page(large_id)
         assert large.owner_group is not None
         group = self.groups[large.owner_group]
@@ -569,6 +571,7 @@ class TwoLevelAllocator:
         self._return_large_page(large_id, already_reset=True)
 
     def _return_large_page(self, large_id: int, already_reset: bool = False) -> None:
+        self._pool_version += 1
         large = self.lcm.page(large_id)
         assert large.owner_group is not None
         group = self.groups[large.owner_group]
@@ -598,6 +601,7 @@ class TwoLevelAllocator:
 
     def _bump(self, page: SmallPage, old: PageState, new: PageState) -> None:
         """Maintain per-large-page and per-group state counters."""
+        self._pool_version += 1
         self.groups[page.group_id].bump_state(old, new)
         if page.large_page_id is None:
             return
@@ -656,6 +660,18 @@ class TwoLevelAllocator:
     # Capacity probes and accounting
     # ------------------------------------------------------------------
 
+    @property
+    def pool_version(self) -> int:
+        """Monotone pool-state version (see ``__init__``).
+
+        Two equal reads bracket no page-state transition, carve, large-page
+        eviction or return, and no quota change -- so every counter
+        :meth:`~repro.core.kv_alloc.AllocationMixin.can_admit` reads is
+        unchanged.  Manager views of a shared allocator read this one
+        counter, so siblings can never disagree about it.
+        """
+        return self._pool_version
+
     def fully_evictable_large_pages(self, group_id: str) -> int:
         """Large-evictor members owned by ``group_id`` (O(1) counter)."""
         return self._num_fully_evictable[group_id]
@@ -681,19 +697,21 @@ class TwoLevelAllocator:
         never touched: the quota is *soft*, ownership may exceed it until
         releases catch up, and no new carves happen until it does.
 
-        Publishes exactly one guarded :class:`QuotaResized` record per
-        quota *change* (plus one :class:`PageEvicted` per reclaimed large
-        page), so event-driven admission snapshots rebuild against the
-        new headroom; setting the same quota again is a silent no-op.
+        Every quota *change* bumps :attr:`pool_version` (the admission
+        carve headroom moved) and publishes exactly one guarded
+        :class:`QuotaResized` record (plus one :class:`PageEvicted` per
+        reclaimed large page); setting the same quota again is a silent
+        no-op.
         """
         if quota is not None and quota < 0:
             raise ValueError(f"negative quota {quota} for group {group_id}")
         group = self.groups[group_id]
         old = group.quota
         if old == quota:
-            # No-op: emitting would dirty every admission snapshot on the
-            # bus for a partition that did not move.
+            # No-op: a bump would make every blocked admission head
+            # re-probe a partition that did not move.
             return 0
+        self._pool_version += 1
         group.quota = quota
         reclaimed = 0
         if quota is not None and self._num_large_owned[group_id] > quota:

@@ -125,7 +125,7 @@ class Replica:
                 seed=seed,
             )
         self.manager = manager
-        self.events = events if events is not None else EventBus(capacity=0)
+        self.events = events if events is not None else EventBus()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         # Monitors subscribe *before* the engine so they observe every
         # event the engine's own collector sees; they share one registry

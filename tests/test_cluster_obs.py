@@ -216,9 +216,8 @@ class TestClusterTeardown:
         replica.events.emit(
             RequestRouted("ghost", replica.replica_id, "cache_aware", 0)
         )
-        # PageEvicted still reaches the engine's admission-cache
-        # invalidation handler (bound for the bus's lifetime), but no
-        # observer counts it anymore: the registry stays frozen.
+        # A pool record on the reused bus reaches no observer anymore:
+        # the registry stays frozen.
         replica.events.emit(PageEvicted("full", 1, "small"))
         assert replica.registry.counters == before
         assert not replica.events.has_subscribers(RequestRouted)

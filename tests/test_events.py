@@ -27,17 +27,17 @@ I = frozenset({IMAGE})
 
 
 class TestEventBus:
-    def test_emit_recent_counts(self):
+    def test_emit_reaches_recorder_in_order(self):
         bus = EventBus()
+        seen = []
+        bus.subscribe(seen.append)
         bus.emit(RequestQueued("r1", 0.0))
         bus.emit(RequestQueued("r2", 1.0))
         bus.emit(PrefixHit("r1", 4, 8))
-        assert len(bus) == 3
-        assert bus.counts["RequestQueued"] == 2
-        assert bus.counts["PrefixHit"] == 1
-        queued = bus.recent(RequestQueued)
-        assert [e.request_id for e in queued] == ["r1", "r2"]
-        assert bus.recent(RequestQueued, limit=1) == [queued[-1]]
+        assert [type(e).__name__ for e in seen] == [
+            "RequestQueued", "RequestQueued", "PrefixHit"
+        ]
+        assert [e.request_id for e in seen] == ["r1", "r2", "r1"]
 
     def test_subscriber_type_filter(self):
         bus = EventBus()
@@ -64,36 +64,15 @@ class TestEventBus:
         bus.emit(RequestQueued("r1", 0.0))
         assert not seen
 
-    def test_ring_capacity_bounds_buffer_not_subscribers(self):
-        bus = EventBus(capacity=4)
-        seen = []
-        bus.subscribe(seen.append)
-        for i in range(10):
-            bus.emit(RequestQueued(f"r{i}", float(i)))
-        assert len(bus) == 4
-        assert [e.request_id for e in bus.recent()] == ["r6", "r7", "r8", "r9"]
-        assert len(seen) == 10  # subscribers see every event
-        assert bus.counts["RequestQueued"] == 10  # counters are not bounded
-
-    def test_clear_keeps_subscribers(self):
+    def test_default_bus_has_no_implicit_consumer(self):
+        # The bus keeps nothing itself, so with nobody subscribed the emit
+        # guards skip constructing events altogether.
         bus = EventBus()
-        seen = []
-        bus.subscribe(seen.append)
-        bus.emit(RequestQueued("r1", 0.0))
-        bus.clear()
-        assert len(bus) == 0 and not bus.counts
-        bus.emit(RequestQueued("r2", 0.0))
-        assert len(seen) == 2
-
-    def test_has_subscribers_true_while_ring_captures(self):
-        # A capturing bus has an implicit consumer (recent()/counts), so
-        # emit call sites must keep constructing events.
-        bus = EventBus()
-        assert bus.has_subscribers(PrefixHit)
-        assert bus.has_subscribers(RequestQueued)
+        assert not bus.has_subscribers(PrefixHit)
+        assert not bus.has_subscribers(RequestQueued)
 
     def test_has_subscribers_pure_dispatch_tracks_interest(self):
-        bus = EventBus(capacity=0)
+        bus = EventBus()
         assert not bus.has_subscribers(PrefixHit)
         seen = []
         handler = bus.subscribe(seen.append, [PrefixHit])
@@ -103,26 +82,26 @@ class TestEventBus:
         assert not bus.has_subscribers(PrefixHit)
 
     def test_has_subscribers_unfiltered_subscriber_matches_all(self):
-        bus = EventBus(capacity=0)
+        bus = EventBus()
         bus.subscribe(lambda e: None)
         assert bus.has_subscribers(PrefixHit)
         assert bus.has_subscribers(StepCompleted)
 
     def test_interest_cache_invalidated_by_late_subscribe(self):
-        bus = EventBus(capacity=0)
+        bus = EventBus()
         assert not bus.has_subscribers(PrefixHit)  # caches the negative
         seen = []
         bus.subscribe(seen.append, [PrefixHit])
         assert bus.has_subscribers(PrefixHit)  # cache was cleared
 
     def test_pure_dispatch_bus_skips_ring(self):
-        bus = EventBus(capacity=0)
+        bus = EventBus()
         seen = []
         bus.subscribe(seen.append)
         bus.emit(RequestQueued("r1", 0.0))
-        assert len(bus) == 0 and not bus.recent()
-        assert len(seen) == 1
-        assert bus.counts["RequestQueued"] == 1
+        assert seen == [RequestQueued("r1", 0.0)]
+        # Nothing is retained on the bus: history lives in subscribers.
+        assert not hasattr(bus, "recent") and not hasattr(bus, "counts")
 
     def test_step_names(self):
         # 1-5 are the paper's five steps; 0 tags the request-aware
@@ -166,8 +145,10 @@ class TestFiveStepTrace:
     §5.4 order as the staged resources run out.
     """
 
-    def stage(self):
+    def stage(self, record=None):
         mgr = five_step_manager()
+        if record is not None:
+            mgr.events.subscribe(record.append)
 
         # C carves large page #1; its second slot stays EMPTY and
         # C-associated (step-4 fodder: empty but not A's).
@@ -251,13 +232,14 @@ class TestFiveStepTrace:
         assert large_evt.prefix_length > 0
 
     def test_prefix_hits_and_releases_are_emitted(self):
-        mgr, a = self.stage()
-        hits = mgr.events.recent(PrefixHit)
+        seen = []
+        mgr, a = self.stage(record=seen)
+        hits = [ev for ev in seen if isinstance(ev, PrefixHit)]
         by_request = {ev.request_id: ev for ev in hits}
         assert by_request["E"].hit_tokens == 4
         assert by_request["E"].lookup_tokens == 8
         assert by_request["A"].hit_tokens == 0
-        released = mgr.events.recent(PageReleased)
+        released = [ev for ev in seen if isinstance(ev, PageReleased)]
         # B's and F's two pages each were released into the cache.
         assert len([ev for ev in released if ev.cached]) == 4
 
@@ -266,19 +248,24 @@ class TestEngineEvents:
     def test_request_lifecycle_events(self):
         model = get_model("llama3-8b")
         mgr = JengaKVCacheManager(model.kv_groups(), 2 << 30)
-        eng = LLMEngine(model, H100, mgr, config=SchedulerConfig())
+        bus = EventBus()
+        seen = []
+        bus.subscribe(seen.append)
+        eng = LLMEngine(model, H100, mgr, config=SchedulerConfig(), events=bus)
         eng.add_requests([
             Request.text(f"r{i}", token_block(0, "r", i, 64), 4)
             for i in range(3)
         ])
         metrics = eng.run()
 
-        assert eng.events.counts["RequestQueued"] == 3
-        assert eng.events.counts["RequestAdmitted"] == 3
-        assert eng.events.counts["RequestFinished"] == 3
-        assert eng.events.counts["StepCompleted"] == len(metrics.steps)
-        admitted = {ev.request_id for ev in eng.events.recent(RequestAdmitted)}
-        finished = {ev.request_id for ev in eng.events.recent(RequestFinished)}
+        def of(kind):
+            return [ev for ev in seen if isinstance(ev, kind)]
+
+        assert len(of(RequestQueued)) == 3
+        assert len(of(StepCompleted)) == len(metrics.steps)
+        admitted = {ev.request_id for ev in of(RequestAdmitted)}
+        finished = {ev.request_id for ev in of(RequestFinished)}
+        assert len(of(RequestAdmitted)) == len(of(RequestFinished)) == 3
         assert admitted == finished == {"r0", "r1", "r2"}
 
     def test_manager_events_flow_to_engine_bus(self):
@@ -286,26 +273,32 @@ class TestEngineEvents:
         mgr = JengaKVCacheManager(model.kv_groups(), 2 << 30)
         assert mgr.allocator.events is mgr.events
         bus = EventBus()
+        seen = []
+        bus.subscribe(seen.append, [PagesAllocated, StepCompleted])
         eng = LLMEngine(model, H100, mgr, config=SchedulerConfig(), events=bus)
         # The engine owns the bus; binding rewires the manager + allocator.
         assert eng.events is bus
         assert mgr.events is bus and mgr.allocator.events is bus
         eng.add_requests([Request.text("r0", token_block(0, "r", 0, 64), 2)])
         eng.run()
-        assert bus.counts["PagesAllocated"] > 0
-        assert bus.counts["StepCompleted"] == len(eng.steps)
+        assert any(isinstance(ev, PagesAllocated) for ev in seen)
+        steps = [ev for ev in seen if isinstance(ev, StepCompleted)]
+        assert len(steps) == len(eng.steps)
 
     def test_collector_rebuilds_counters_from_events(self):
         model = get_model("llama3-8b")
         mgr = JengaKVCacheManager(model.kv_groups(), 2 << 30)
-        eng = LLMEngine(model, H100, mgr, config=SchedulerConfig())
+        bus = EventBus()
+        completed = []
+        bus.subscribe(completed.append, [StepCompleted])
+        eng = LLMEngine(model, H100, mgr, config=SchedulerConfig(), events=bus)
         eng.add_requests([
             Request.text(f"r{i}", token_block(0, "same", 0, 128), 4,
                          arrival_time=i * 100.0)  # r1 arrives after r0 ends
             for i in range(2)
         ])
         metrics = eng.run()
-        records = [ev.record for ev in eng.events.recent(StepCompleted)]
+        records = [ev.record for ev in completed]
         assert records == metrics.steps
         # The second request's prompt hits the first one's cached prefix.
         assert metrics.prefix_lookup_tokens >= 2 * 128

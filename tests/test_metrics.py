@@ -117,7 +117,7 @@ class TestPercentile:
 
 class TestMetricsCollector:
     def test_collects_from_bus(self):
-        bus = EventBus(capacity=0)
+        bus = EventBus()
         collector = MetricsCollector(bus)
         bus.emit(StepCompleted(0, 0.5, 0, record=step()))
         bus.emit(RequestPreempted("r0", 0.5))
@@ -125,7 +125,7 @@ class TestMetricsCollector:
         assert collector.preemptions == 1
 
     def test_close_unsubscribes_idempotently(self):
-        bus = EventBus(capacity=0)
+        bus = EventBus()
         collector = MetricsCollector(bus)
         bus.emit(StepCompleted(0, 0.5, 0, record=step()))
         collector.close()
@@ -135,7 +135,7 @@ class TestMetricsCollector:
 
     def test_closed_collector_does_not_leak_onto_shared_bus(self):
         """Two engine runs on one bus must not cross-count events."""
-        bus = EventBus(capacity=0)
+        bus = EventBus()
         first = MetricsCollector(bus)
         bus.emit(RequestPreempted("r0", 0.1))
         first.close()

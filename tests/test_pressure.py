@@ -8,6 +8,7 @@ from repro.core.events import (
     RequestPreempted,
     StepCompleted,
 )
+import repro.engine.engine as engine_module
 from repro.engine import LLMEngine, Request, SchedulerConfig
 from repro.engine.metrics import MemorySnapshot, StepRecord
 from repro.engine.scheduler import profile_config
@@ -30,7 +31,7 @@ def step_event(index=0, t=1.0, memory=None):
 
 class TestPressureMonitorUnit:
     def test_admission_blocks_feed_counter_and_rate(self):
-        bus = EventBus(capacity=0)
+        bus = EventBus()
         monitor = PressureMonitor(bus)
         assert bus.has_subscribers(AdmissionBlocked)
         bus.emit(AdmissionBlocked("r0", 1.0, queue_depth=3, num_running=2))
@@ -44,7 +45,7 @@ class TestPressureMonitorUnit:
         assert reg.gauges["pressure/score"] == monitor.score
 
     def test_per_group_eviction_rates(self):
-        bus = EventBus(capacity=0)
+        bus = EventBus()
         monitor = PressureMonitor(bus)
         for _ in range(3):
             bus.emit(PageEvicted("full", 1, "small"))
@@ -58,7 +59,7 @@ class TestPressureMonitorUnit:
                 > reg.gauges["pressure/group/win/eviction_rate"] > 0.0)
 
     def test_rates_decay_over_quiet_steps(self):
-        bus = EventBus(capacity=0)
+        bus = EventBus()
         monitor = PressureMonitor(bus)
         bus.emit(AdmissionBlocked("r0", 1.0, queue_depth=1, num_running=1))
         bus.emit(step_event(index=0, t=1.0))
@@ -69,7 +70,7 @@ class TestPressureMonitorUnit:
         assert 0.0 < quiet < busy
 
     def test_memory_snapshot_feeds_waste_and_occupancy(self):
-        bus = EventBus(capacity=0)
+        bus = EventBus()
         monitor = PressureMonitor(bus)
         memory = MemorySnapshot(
             used_by_group={"g": 6000}, evictable_bytes=1000,
@@ -85,7 +86,7 @@ class TestPressureMonitorUnit:
         assert timeline.last == (1.0, 0.7)
 
     def test_preemptions_feed_score(self):
-        bus = EventBus(capacity=0)
+        bus = EventBus()
         monitor = PressureMonitor(bus)
         for _ in range(10):
             bus.emit(RequestPreempted("r0", 1.0))
@@ -95,7 +96,7 @@ class TestPressureMonitorUnit:
         assert 0.0 < monitor.score <= 1.0
 
     def test_score_clipped_to_one(self):
-        bus = EventBus(capacity=0)
+        bus = EventBus()
         monitor = PressureMonitor(bus)
         for i in range(50):
             for _ in range(20):
@@ -104,7 +105,7 @@ class TestPressureMonitorUnit:
         assert monitor.score == 1.0
 
     def test_close_is_idempotent_and_detaches(self):
-        bus = EventBus(capacity=0)
+        bus = EventBus()
         monitor = PressureMonitor(bus)
         bus.emit(AdmissionBlocked("r0", 1.0, 1, 1))
         monitor.close()
@@ -115,7 +116,7 @@ class TestPressureMonitorUnit:
 
     def test_shared_registry_adopted(self):
         reg = TelemetryRegistry()
-        bus = EventBus(capacity=0)
+        bus = EventBus()
         monitor = PressureMonitor(bus, registry=reg)
         assert monitor.registry is reg
 
@@ -137,7 +138,9 @@ class TestEngineEmission:
         ]
 
     def test_blocked_admission_emits_event(self):
-        bus = EventBus(capacity=0)
+        bus = EventBus()
+        blocked = []
+        bus.subscribe(blocked.append, [AdmissionBlocked])
         monitor = PressureMonitor(bus)
         engine = self._pressured_engine(bus)
         engine.add_requests(self._requests())
@@ -147,25 +150,31 @@ class TestEngineEmission:
         assert len(metrics.requests) == 12
         reg = monitor.registry
         assert reg.counters["pressure/admission_blocked"] > 0
-        assert bus.counts["AdmissionBlocked"] == (
-            reg.counters["pressure/admission_blocked"]
-        )
+        assert len(blocked) == reg.counters["pressure/admission_blocked"]
         # record_memory=True populated the waste/occupancy gauges too.
         assert "pressure/occupancy" in reg.gauges
         assert len(reg.timelines["pressure/score"].points) > 0
 
-    def test_no_subscriber_means_no_event_constructed(self):
-        bus = EventBus(capacity=0)  # pure dispatch, nobody listening
+    def test_no_subscriber_means_no_event_constructed(self, monkeypatch):
+        built = []
+
+        class CountingBlocked(AdmissionBlocked):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "AdmissionBlocked", CountingBlocked)
+        bus = EventBus()  # nobody listening for AdmissionBlocked
         engine = self._pressured_engine(bus)
         engine.add_requests(self._requests())
         engine.run(max_steps=20_000)
         engine.close()
-        assert bus.counts.get("AdmissionBlocked", 0) == 0
+        assert built == []
 
     def test_gate_suppresses_redundant_block_events(self):
         # The AdmissionGate memo skips provably redundant re-probes, so
         # blocked events must be far rarer than engine steps.
-        bus = EventBus(capacity=0)
+        bus = EventBus()
         monitor = PressureMonitor(bus)
         engine = self._pressured_engine(bus)
         engine.add_requests(self._requests())

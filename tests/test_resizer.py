@@ -101,7 +101,7 @@ class TestDeflation:
         assert_stats_equal(alloc)
 
     def test_resize_emits_guarded_quota_event(self):
-        bus = EventBus(capacity=8)
+        bus = EventBus()
         received = []
         bus.subscribe(received.append, (QuotaResized,))
         alloc = make_allocator(events=bus)
@@ -111,7 +111,7 @@ class TestDeflation:
         assert received[0].new_quota == 3
 
     def test_noop_resize_emits_nothing(self):
-        bus = EventBus(capacity=8)
+        bus = EventBus()
         received = []
         bus.subscribe(received.append, (QuotaResized,))
         alloc = make_allocator(events=bus)
@@ -201,7 +201,7 @@ class TestHysteresisDwell:
 class TestPoolResizer:
     def test_partition_on_start_is_exact_equal_split(self):
         alloc = make_allocator(num_large=7)
-        PoolResizer(alloc, FakeMonitor(), EventBus(capacity=0),
+        PoolResizer(alloc, FakeMonitor(), EventBus(),
                     policy="static", interval=4)
         quotas = [alloc.quota_of(g) for g in sorted(alloc.groups)]
         assert sum(quotas) == alloc.lcm.num_pages
@@ -217,7 +217,7 @@ class TestPoolResizer:
                 CountingPolicy.calls += 1
                 return {}
 
-        bus = EventBus(capacity=0)
+        bus = EventBus()
         resizer = PoolResizer(alloc, FakeMonitor(), bus,
                               policy=CountingPolicy(), interval=4)
         for step in range(12):
@@ -231,7 +231,7 @@ class TestPoolResizer:
         alloc = make_allocator(num_large=8)
         for _ in range(9):
             assert alloc.allocate_page("a", "r1") is not None
-        bus = EventBus(capacity=0)
+        bus = EventBus()
         resizer = PoolResizer(alloc, FakeMonitor(score=1.0), bus,
                               policy="proportional", interval=1)
         bus.emit(StepCompleted(0, 0.0, 0))

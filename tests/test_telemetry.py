@@ -166,7 +166,7 @@ def _snapshot():
 
 class TestBusTelemetry:
     def test_allocation_step_histogram(self):
-        bus = EventBus(capacity=0)
+        bus = EventBus()
         telemetry = BusTelemetry(bus)
         for step in (1, 2, 2, 3, 5):
             bus.emit(PageAllocated("g", "r0", step, step=step))
@@ -180,7 +180,7 @@ class TestBusTelemetry:
         # One PagesAllocated record carries len(page_ids) pool mutations;
         # alloc/pages and the §5.4 step histogram must agree with the
         # equivalent per-page emission path.
-        bus = EventBus(capacity=0)
+        bus = EventBus()
         telemetry = BusTelemetry(bus)
         bus.emit(PagesAllocated("g", "r0", (1, 2, 3), (1, 2, 2)))
         bus.emit(PageAllocated("g", "r0", 4, step=5))
@@ -191,7 +191,7 @@ class TestBusTelemetry:
         assert reg.counters["alloc/step/5"] == 1
 
     def test_eviction_provenance(self):
-        bus = EventBus(capacity=0)
+        bus = EventBus()
         telemetry = BusTelemetry(bus)
         bus.emit(PageEvicted("g", 1, "small", prefix_length=0.0))
         bus.emit(PageEvicted("g", 2, "large", prefix_length=3.0))
@@ -202,7 +202,7 @@ class TestBusTelemetry:
         assert reg.counters["evict/priority/aligned"] == 1
 
     def test_lifecycle_prefix_and_offload_counters(self):
-        bus = EventBus(capacity=0)
+        bus = EventBus()
         telemetry = BusTelemetry(bus)
         bus.emit(RequestQueued("r0", 0.0))
         bus.emit(RequestAdmitted("r0", 0.1))
@@ -232,7 +232,7 @@ class TestBusTelemetry:
         assert c["requests/failed"] == 1
 
     def test_step_feeds_memory_timeline_and_phases(self):
-        bus = EventBus(capacity=0)
+        bus = EventBus()
         telemetry = BusTelemetry(bus)
         record = StepRecord(
             index=0, start_time=0.0, duration=0.5, decode_batch=1,
@@ -250,7 +250,7 @@ class TestBusTelemetry:
         assert reg.histograms["phase/allocate"].count == 1
 
     def test_step_without_record_still_counts(self):
-        bus = EventBus(capacity=0)
+        bus = EventBus()
         telemetry = BusTelemetry(bus)
         bus.emit(StepCompleted(0, 0.5, 0, record=None))
         assert telemetry.registry.counters["engine/steps"] == 1
@@ -260,7 +260,7 @@ class TestBusTelemetry:
         # Regression: BusTelemetry ignored RequestRouted entirely, so
         # cluster runs had no routing counters (same bug class as the
         # PagesAllocated gap PR 8 fixed).
-        bus = EventBus(capacity=0)
+        bus = EventBus()
         telemetry = BusTelemetry(bus)
         assert bus.has_subscribers(RequestRouted)
         bus.emit(RequestRouted("r0", "replica-0", "cache_aware", 48))
@@ -275,7 +275,7 @@ class TestBusTelemetry:
         assert counters["routing/expected_hit_tokens"] == 64
 
     def test_close_unsubscribes_idempotently(self):
-        bus = EventBus(capacity=0)
+        bus = EventBus()
         telemetry = BusTelemetry(bus)
         bus.emit(RequestQueued("r0", 0.0))
         telemetry.close()
@@ -285,7 +285,7 @@ class TestBusTelemetry:
 
     def test_external_registry_is_adopted(self):
         reg = TelemetryRegistry()
-        bus = EventBus(capacity=0)
+        bus = EventBus()
         telemetry = BusTelemetry(bus, registry=reg)
         bus.emit(RequestQueued("r0", 0.0))
         assert reg.counters["requests/queued"] == 1
@@ -294,7 +294,7 @@ class TestBusTelemetry:
 
 class TestReport:
     def _registry(self):
-        bus = EventBus(capacity=0)
+        bus = EventBus()
         telemetry = BusTelemetry(bus)
         bus.emit(PageAllocated("g", "r0", 1, step=2))
         record = StepRecord(
