@@ -50,6 +50,9 @@ HOT_MODULES: FrozenSet[str] = frozenset(
         # class was in HOT_CLASSES but the module escaped every hot rule).
         "repro/core/lcm_allocator.py",
         "repro/engine/scheduler.py",
+        # The engines price every scheduled request on every step here;
+        # per-layer work is compiled into layer classes at construction.
+        "repro/engine/cost_model.py",
         # The router runs once per request on the serving dispatch path;
         # shadow probes must stay dict-indexed and block hashes memoized.
         "repro/serving/router.py",
@@ -242,5 +245,6 @@ HOT_CLASSES: FrozenSet[str] = frozenset(
         "PressureMonitor",
         "PoolResizer",
         "ResizePolicy",
+        "CostModel",
     }
 )

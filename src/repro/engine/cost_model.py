@@ -103,6 +103,13 @@ class CostModel:
         self.kernel_slowdown = kernel_slowdown
         self._flops = gpu.flops * _COMPUTE_EFF
         self._bw = gpu.hbm_bandwidth * _BANDWIDTH_EFF
+        # Per-step constants of step_time.
+        self._flops_per_token = model.flops_per_token()
+        self._vision_flops = model.vision_flops_per_image()
+        self._weight_s = model.weight_bytes / self._bw
+        # Per-request pricing tables, compiled once per model.
+        self._write_bytes = float(model.kv_bytes_per_token_alllayers())
+        self._classes, self._state_bytes = _compile_layer_classes(model)
 
     def step_time(self, work: StepWork) -> float:
         """Seconds one engine step takes."""
@@ -114,26 +121,25 @@ class CostModel:
             return _STEP_OVERHEAD_S
 
         # Dense (linear-layer) compute: 2 * params FLOPs per token.
-        linear_flops = self.model.flops_per_token() * work.total_tokens
+        linear_flops = self._flops_per_token * work.total_tokens
         # Attention score/value FLOPs: ~4 * hidden per (token, context-token).
         attn_flops = 4.0 * self.model.hidden_size * work.attn_context_tokens
-        encoder_flops = self.model.vision_flops_per_image() * work.images_encoded
+        encoder_flops = self._vision_flops * work.images_encoded
         compute_s = (linear_flops + encoder_flops) / self._flops
         attn_compute_s = attn_flops / self._flops
 
         # Memory: weights stream once per step; KV reads/writes on top.
-        weight_s = self.model.weight_bytes / self._bw
         kv_s = (work.kv_read_bytes + work.kv_write_bytes) / self._bw
 
         attn_s = max(attn_compute_s, kv_s) * self.kernel_slowdown
         pcie_s = work.offload_read_bytes / self.gpu.pcie_bandwidth
-        return max(compute_s, weight_s) + attn_s + pcie_s + _STEP_OVERHEAD_S
+        return max(compute_s, self._weight_s) + attn_s + pcie_s + _STEP_OVERHEAD_S
 
     def encoder_time(self, num_images: int) -> float:
         """Seconds to run the vision encoder on ``num_images`` images."""
         if num_images == 0:
             return 0.0
-        return self.model.vision_flops_per_image() * num_images / self._flops
+        return self._vision_flops * num_images / self._flops
 
     # ------------------------------------------------------------------
     # Helpers for building StepWork
@@ -152,42 +158,61 @@ class CostModel:
     def attention_read_range(self, p0: int, p1: int) -> tuple:
         """Attention reads for new tokens at positions ``[p0, p1)``.
 
-        Closed form per layer, so prefill chunks cost O(#layers) to price
-        rather than O(chunk * #layers).  Token at position ``t`` reads
+        Closed form per layer class (layers sharing one read limit), so a
+        prefill chunk costs O(#classes) to price rather than
+        O(chunk * #layers).  Token at position ``t`` reads
         ``min(t, limit)`` context tokens.
         """
         if p1 <= p0:
             return 0.0, 0.0
         ctx = 0.0
-        bytes_read = 0.0
-        kvb = self.model.kv_dtype_bytes
-        for layer in self.model.layers:
-            if layer.kind == "mamba":
-                # The recurrent state streams through once per pass.
-                bytes_read += float(layer.state_bytes or 0)
-                continue
-            limit = None
-            if layer.window:
-                limit = layer.window
-            if layer.budget:
-                limit = layer.budget if limit is None else min(limit, layer.budget)
+        # The recurrent Mamba state streams through once per pass.
+        bytes_read = self._state_bytes
+        for limit, count, per_tok in self._classes:
             # Compute: every new token attends to its own (window-capped)
             # context -- genuinely quadratic.
-            ctx += _sum_min_range(p0, p1, limit)
+            ctx += count * _sum_min_range(p0, p1, limit)
             # Memory: fused kernels stream the KV region once per pass (the
             # whole point of FlashAttention tiling), so the traffic is the
-            # resident context, not context x tokens.  KV-sharing layers
-            # still *read* the shared cache even though they store nothing.
+            # resident context, not context x tokens.
             span = p1 if limit is None else min(p1, limit)
-            per_tok = 2 * layer.kv_heads * layer.head_dim * kvb
             bytes_read += span * per_tok
         return ctx, bytes_read
 
     def write_bytes_per_token(self) -> float:
-        kvb = self.model.kv_dtype_bytes
-        return float(
-            sum(l.per_token_bytes(kvb) for l in self.model.layers if l.kind != "mamba")
-        )
+        return self._write_bytes
+
+
+def _compile_layer_classes(model: ModelSpec) -> tuple:
+    """Fold ``model.layers`` into read classes and the Mamba state bytes.
+
+    Returns ``(classes, state_bytes)`` where each class is
+    ``(limit, layer_count, per_token_read_bytes)`` summed over the
+    attention layers whose read limit (min of window and budget, ``None``
+    when unbounded) is ``limit``.  KV-sharing layers store nothing but
+    still *read* the shared cache, so they count here.  Every per-layer
+    term is an integer-valued float far below 2**53, so pricing a class
+    once and scaling by its layer count is bit-identical to the
+    per-layer sum.
+    """
+    kvb = model.kv_dtype_bytes
+    state_bytes = 0.0
+    classes: dict = {}
+    for layer in model.layers:
+        if layer.kind == "mamba":
+            state_bytes += float(layer.state_bytes or 0)
+            continue
+        limit = None
+        if layer.window:
+            limit = layer.window
+        if layer.budget:
+            limit = layer.budget if limit is None else min(limit, layer.budget)
+        count, per_tok = classes.get(limit, (0, 0))
+        classes[limit] = (count + 1, per_tok + 2 * layer.kv_heads * layer.head_dim * kvb)
+    return (
+        tuple((limit, count, per_tok) for limit, (count, per_tok) in classes.items()),
+        state_bytes,
+    )
 
 
 def _sum_min_range(p0: int, p1: int, limit) -> float:

@@ -138,9 +138,8 @@ class SpecDecodeEngine(LLMEngine):
         self.k = num_speculative_tokens
         self.acceptance_rate = acceptance_rate
         self._rng = random.Random(seed)
-        slowdown = manager.kernel_slowdown
-        self.draft_cost = CostModel(draft, gpu, kernel_slowdown=slowdown)
-        self.target_cost = CostModel(target, gpu, kernel_slowdown=slowdown)
+        # The base engine's ``self.cost`` prices the target.
+        self.draft_cost = CostModel(draft, gpu, kernel_slowdown=manager.kernel_slowdown)
 
     # ------------------------------------------------------------------
 
@@ -216,14 +215,14 @@ class SpecDecodeEngine(LLMEngine):
             draft_work.kv_read_bytes += read_d
             draft_work.kv_write_bytes += self.k * self.draft_cost.write_bytes_per_token()
             # Target: one pass verifying k proposals (+1 pending token).
-            ctx_t, read_t = self.target_cost.attention_read_range(
+            ctx_t, read_t = self.cost.attention_read_range(
                 base_len - 1, base_len + self.k
             )
             target_work.speculative_extra_tokens += self.k + 1
             target_work.attn_context_tokens += ctx_t
             target_work.kv_read_bytes += read_t
             target_work.kv_write_bytes += (
-                (self.k + 1) * self.target_cost.write_bytes_per_token()
+                (self.k + 1) * self.cost.write_bytes_per_token()
             )
 
         # Phase 2: prefill chunks (both models prefill the prompt).
@@ -251,7 +250,7 @@ class SpecDecodeEngine(LLMEngine):
             budget -= n
             prefill_tokens += n
             p0 = request.num_computed_tokens
-            for cost, work in ((self.draft_cost, draft_work), (self.target_cost, target_work)):
+            for cost, work in ((self.draft_cost, draft_work), (self.cost, target_work)):
                 ctx, read = cost.attention_read_range(p0, p0 + n)
                 work.prefill_tokens += n
                 work.attn_context_tokens += ctx
@@ -261,21 +260,22 @@ class SpecDecodeEngine(LLMEngine):
         if tracing:
             tracer.end_span()  # schedule
         # The draft's k passes happen sequentially, then one target pass.
+        # A prefill-only step runs the draft once over its prefill work.
         duration = 0.0
         if draft_work.total_tokens:
-            per_pass = StepWork(
-                decode_tokens=max(1, draft_work.decode_tokens // max(1, self.k)),
-                prefill_tokens=draft_work.prefill_tokens,
-                attn_context_tokens=draft_work.attn_context_tokens / max(1, self.k),
-                kv_read_bytes=draft_work.kv_read_bytes / max(1, self.k),
-                kv_write_bytes=draft_work.kv_write_bytes / max(1, self.k),
-            )
             passes = self.k if draft_work.decode_tokens else 1
+            per_pass = StepWork(
+                decode_tokens=draft_work.decode_tokens // passes,
+                prefill_tokens=draft_work.prefill_tokens,
+                attn_context_tokens=draft_work.attn_context_tokens / passes,
+                kv_read_bytes=draft_work.kv_read_bytes / passes,
+                kv_write_bytes=draft_work.kv_write_bytes / passes,
+            )
             duration += passes * self.draft_cost.step_time(per_pass)
         if target_work.total_tokens:
-            duration += self.target_cost.step_time(target_work)
+            duration += self.cost.step_time(target_work)
         if duration == 0.0:
-            duration = self.target_cost.step_time(StepWork())
+            duration = self.cost.step_time(StepWork())
         end = now + duration
         self.clock = end
 

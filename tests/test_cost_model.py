@@ -3,7 +3,7 @@
 import pytest
 
 from repro.engine.cost_model import CostModel, StepWork, _sum_min_range
-from repro.models import get_model
+from repro.models import LayerSpec, ModelSpec, get_model, list_models
 from repro.platforms import H100, L4
 
 
@@ -126,3 +126,96 @@ class TestAttentionReads:
         cm = CostModel(vlm, H100)
         assert cm.encoder_time(0) == 0.0
         assert cm.encoder_time(2) == pytest.approx(2 * cm.encoder_time(1))
+
+
+def per_layer_read_range(model, p0, p1):
+    """Reference pricing: the straightforward walk over every layer.
+
+    ``CostModel`` prices whole layer classes at once; this oracle keeps
+    the per-layer loop so the compiled tables are checked for bit-exact
+    agreement rather than approximate closeness.
+    """
+    if p1 <= p0:
+        return 0.0, 0.0
+    ctx = 0.0
+    bytes_read = 0.0
+    kvb = model.kv_dtype_bytes
+    for layer in model.layers:
+        if layer.kind == "mamba":
+            bytes_read += float(layer.state_bytes or 0)
+            continue
+        limit = None
+        if layer.window:
+            limit = layer.window
+        if layer.budget:
+            limit = layer.budget if limit is None else min(limit, layer.budget)
+        ctx += _sum_min_range(p0, p1, limit)
+        span = p1 if limit is None else min(p1, limit)
+        bytes_read += span * 2 * layer.kv_heads * layer.head_dim * kvb
+    return ctx, bytes_read
+
+
+def read_ranges(model):
+    """Ranges covering empty/inverted spans, single tokens, chunks that
+    straddle every window/budget, and 200k+ contexts."""
+    ranges = [(0, 0), (7, 7), (10, 3), (0, 1), (1, 2), (0, 512), (100, 612)]
+    ranges += [(200_000, 200_001), (0, 200_000), (199_000, 201_048), (0, 262_144)]
+    limits = {l.window for l in model.layers if l.window}
+    limits |= {l.budget for l in model.layers if l.budget}
+    for lim in sorted(limits):
+        ranges += [
+            (lim - 1, lim), (lim, lim + 1), (lim + 1, lim + 2),
+            (lim - 1, lim + 1), (lim - 100, lim + 100), (0, lim + 1),
+            (lim // 2, 3 * lim), (lim, 2 * lim),
+        ]
+    return ranges
+
+
+# No zoo model combines a window with a budget on one layer; this one
+# does, next to KV sharing and Mamba state, with repeated classes
+# interleaved out of order.
+MIXED = ModelSpec(
+    name="mixed-synthetic",
+    params_b=1.0,
+    hidden_size=1024,
+    layers=(
+        LayerSpec("sliding_window", kv_heads=4, head_dim=64, window=300, budget=200),
+        LayerSpec("full_attention", kv_heads=8, head_dim=128),
+        LayerSpec("mamba", state_bytes=12345),
+        LayerSpec("dropped_token", kv_heads=2, head_dim=64, window=150, budget=500),
+        LayerSpec("sliding_window", kv_heads=4, head_dim=64, window=200),
+        LayerSpec("full_attention", kv_heads=8, head_dim=128, shares_kv_with_previous=True),
+        LayerSpec("mamba", state_bytes=777),
+    ),
+)
+
+
+@pytest.mark.parametrize("name", list_models() + [MIXED.name])
+class TestCompiledPricing:
+    def test_read_range_bit_exact(self, name):
+        m = MIXED if name == MIXED.name else get_model(name)
+        cm = CostModel(m, H100)
+        for p0, p1 in read_ranges(m):
+            assert cm.attention_read_range(p0, p1) == per_layer_read_range(m, p0, p1), (p0, p1)
+
+    def test_write_bytes_are_alllayer_sum(self, name):
+        m = MIXED if name == MIXED.name else get_model(name)
+        assert CostModel(m, H100).write_bytes_per_token() == m.kv_bytes_per_token_alllayers()
+
+
+class TestCompiledPricingCoverage:
+    def test_oracle_sweep_reaches_every_layer_feature(self):
+        """Mamba state (jamba), KV sharing (characterai), budgets
+        (pyramidkv) and windows (ministral) are all in the sweep."""
+        for name in ("jamba-52b", "characterai-8b", "pyramidkv-8b", "ministral-8b"):
+            assert name in list_models()
+        layers = [l for n in list_models() for l in get_model(n).layers]
+        assert any(l.kind == "mamba" for l in layers)
+        assert any(l.shares_kv_with_previous for l in layers)
+        assert any(l.budget for l in layers)
+        assert any(l.window for l in layers)
+
+    def test_kv_sharing_layers_still_read(self):
+        m = get_model("characterai-8b")
+        _, read = CostModel(m, H100).attention_read_range(0, 100)
+        assert read > m.kv_bytes_per_token_alllayers() * 100

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.engine import Request, SchedulerConfig, SpecDecodeEngine, make_spec_manager
+from repro.engine.cost_model import StepWork
 from repro.models import GIB, get_model
 from repro.platforms import H100
 from repro.workloads import token_block
@@ -83,6 +84,30 @@ class TestDecoding:
         stats = eng.manager.stats()
         assert stats.used_bytes_by_group["draft/self_attn"] > 0
         assert stats.used_bytes_by_group["target/self_attn"] > 0
+
+
+class TestStepPricing:
+    @staticmethod
+    def prefill_work(cost, n):
+        ctx, read = cost.attention_read_range(0, n)
+        return StepWork(
+            prefill_tokens=n,
+            attn_context_tokens=ctx,
+            kv_read_bytes=read,
+            kv_write_bytes=n * cost.write_bytes_per_token(),
+        )
+
+    def test_prefill_only_step_costs_its_prefill(self):
+        """A step that only prefills runs one draft pass and one target
+        pass over the prompt: no phantom decode token, no share of k."""
+        eng = engines("jenga", k=4)
+        eng.add_requests(reqs(1, prompt=128, output=16))
+        record = eng.step()
+        assert record.decode_batch == 0 and record.prefill_tokens == 128
+        expected = eng.draft_cost.step_time(
+            self.prefill_work(eng.draft_cost, 128)
+        ) + eng.cost.step_time(self.prefill_work(eng.cost, 128))
+        assert record.duration == expected
 
 
 class TestSystemsCompared:
