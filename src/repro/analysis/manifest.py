@@ -13,7 +13,6 @@ from typing import Dict, FrozenSet
 
 __all__ = [
     "AUDITED_SLOW_FUNCS",
-    "BATCHED_EVENTS",
     "EVENT_CLASSES",
     "GUARDED_COUNTERS",
     "HOT_CLASSES",
@@ -56,8 +55,8 @@ HOT_MODULES: FrozenSet[str] = frozenset(
         # The router runs once per request on the serving dispatch path;
         # shadow probes must stay dict-indexed and block hashes memoized.
         "repro/serving/router.py",
-        # The pressure monitor subscribes to per-page eviction events and
-        # folds them every step; its handlers must stay O(1) per event.
+        # The pressure monitor folds pool-counter deltas every step; its
+        # handlers must stay O(#groups) per step, never O(pages).
         "repro/obs/pressure.py",
     }
 )
@@ -106,19 +105,12 @@ POOL_ATTRS: FrozenSet[str] = frozenset(
 
 # -- rule: unguarded-emit -----------------------------------------------
 
-#: Event dataclasses published on the allocation-event bus.  Constructing
-#: one costs a dataclass allocation per page operation, so every
+#: Event dataclasses published on the engine's record bus.  Constructing
+#: one costs a dataclass allocation per record, so every
 #: ``emit(Event(...))`` call site must be guarded by
 #: ``events.has_subscribers(Event)`` (the event-bus fast path).
 EVENT_CLASSES: FrozenSet[str] = frozenset(
     {
-        "PageAllocated",
-        "PagesAllocated",
-        "LargePageCarved",
-        "PageEvicted",
-        "PageEvictedToHost",
-        "PageReleased",
-        "PrefixHit",
         "RequestQueued",
         "RequestAdmitted",
         "AdmissionBlocked",
@@ -149,12 +141,6 @@ ORPHAN_ALLOWED: FrozenSet[str] = frozenset()
 #: incremental chain owned by the sequence); the from-scratch helper
 #: remains the property-test oracle.
 PER_TOKEN_HASH_FUNCS: FrozenSet[str] = frozenset({"chain_hashes"})
-
-#: Per-item events that have a batched equivalent.  Emitting the per-item
-#: form inside a loop publishes one dataclass per page where a single
-#: batched event would do; the allocator's batch paths must emit the
-#: right-hand event exactly once per call.
-BATCHED_EVENTS: Dict[str, str] = {"PageAllocated": "PagesAllocated"}
 
 # -- rule: unguarded-span -----------------------------------------------
 
@@ -209,6 +195,25 @@ GUARDED_COUNTERS: Dict[str, str] = {
     "_num_fully_evictable": "TwoLevelAllocator",
     "_num_large_owned": "TwoLevelAllocator",
     "num_large_evictions": "TwoLevelAllocator",
+    # TwoLevelAllocator cumulative counters behind counters(): §5.4 step
+    # mix (committed pages only), carves, evictions and releases.
+    "_step_pages": "TwoLevelAllocator",
+    "_num_carves": "TwoLevelAllocator",
+    "_num_small_evictions": "TwoLevelAllocator",
+    "_num_aligned_evictions": "TwoLevelAllocator",
+    "_num_balanced_evictions": "TwoLevelAllocator",
+    "_evictions_by_group": "TwoLevelAllocator",
+    "_num_released_cached": "TwoLevelAllocator",
+    "_num_released_freed": "TwoLevelAllocator",
+    # KV-manager view counters behind counters(), owned by the
+    # prefix-cache mixin composed into JengaKVCacheManager.
+    "num_lookups": "PrefixCacheMixin",
+    "lookup_tokens": "PrefixCacheMixin",
+    "hit_tokens": "PrefixCacheMixin",
+    "num_spills": "PrefixCacheMixin",
+    "spill_bytes": "PrefixCacheMixin",
+    # LLMEngine preemptions by reason behind counters().
+    "_preemptions_by_reason": "LLMEngine",
     # Monotone pool-state version behind admission_version: bumped only at
     # the allocator's own state-change choke points, so no other class can
     # move (or forget to move) it.

@@ -5,13 +5,13 @@ per-page/per-step hot path: pay one predicate when nobody is watching,
 never an allocation or method call.
 
 ``unguarded-emit``: constructing an event dataclass for nobody costs an
-allocation per page operation.  Every ``emit(SomeEvent(...))`` call site
-must therefore sit inside an ``if`` whose test calls ``has_subscribers``
-(the event-bus fast path), so the dataclass is never built when no
-consumer is attached:
+allocation per record.  Every ``emit(SomeEvent(...))`` call site must
+therefore sit inside an ``if`` whose test calls ``has_subscribers`` (the
+event-bus fast path), so the dataclass is never built when no consumer
+is attached:
 
-    if self.events is not None and self.events.has_subscribers(PageEvicted):
-        self.events.emit(PageEvicted(...))
+    if self.events.has_subscribers(RequestPreempted):
+        self.events.emit(RequestPreempted(...))
 
 Calls that pass a pre-built event object (``emit(event)``) are not
 flagged -- the construction cost was already paid.

@@ -11,9 +11,8 @@ split cannot shift capacity between the models as workloads change.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Tuple
 
-from ..core.events import EventBus
 from ..core.protocols import KVCacheManagerBase
 from ..core.sequence import SequenceSpec
 from ..core.two_level import AllocatorStats
@@ -34,19 +33,15 @@ class DualManager(KVCacheManagerBase):
 
     name = "vllm-manual"
 
-    def __init__(self, managers: List, events: Optional[EventBus] = None) -> None:
+    def __init__(self, managers: List) -> None:
         if not managers:
             raise ValueError("DualManager needs at least one sub-manager")
-        super().__init__(events)
+        super().__init__()
         self.managers = list(managers)
-        for manager in self.managers:
-            manager.bind_events(self.events)
 
-    def bind_events(self, events: EventBus) -> None:
-        """Adopt ``events`` on the composite and every sub-manager."""
-        self.events = events
-        for manager in self.managers:
-            manager.bind_events(events)
+    def counter_sources(self) -> Tuple[Any, ...]:
+        """Every sub-manager's counter owners, in side order."""
+        return tuple(s for m in self.managers for s in m.counter_sources())
 
     def bind_tracer(self, tracer) -> None:
         """Adopt ``tracer`` on the composite and every sub-manager."""

@@ -479,7 +479,6 @@ def engine_bench(
     _assert_stats_equal(manager.allocator)
     manager.allocator.check_invariants()
     metrics = engine.metrics()
-    engine.close()
     total_tokens = sum(r.prompt_len + r.output_len for r in metrics.requests)
     wall = max(sum(step_lat), 1e-12)
     pcts = _percentiles(step_lat)

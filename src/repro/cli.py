@@ -183,9 +183,9 @@ def cmd_specdecode(args) -> int:
 def _traced_run(args):
     """Run one traced engine workload; return ``(tracer, registry, metrics)``.
 
-    Shared by ``trace`` and ``report``: an :class:`~repro.core.events.EventBus`
-    in pure-dispatch mode (no ring retention -- the telemetry subscriber and
-    the metrics collector consume events as they happen), a memory-recording
+    Shared by ``trace`` and ``report``: a :class:`~repro.obs.BusTelemetry`
+    on the engine's bus (it folds the allocator, manager and engine
+    counters at every step and once more on ``close``), a memory-recording
     scheduler profile so the simulated-clock timelines are populated, and an
     enabled :class:`~repro.obs.tracer.Tracer` on the engine.
     """
@@ -207,7 +207,6 @@ def _traced_run(args):
     )
     engine.add_requests(requests)
     metrics = engine.run(max_steps=args.max_steps)
-    engine.close()
     telemetry.close()
     return tracer, telemetry.registry, metrics
 

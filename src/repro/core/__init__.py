@@ -4,16 +4,8 @@ Public entry point: :class:`~repro.core.kv_manager.JengaKVCacheManager`.
 """
 
 from .events import (
-    ALLOCATION_STEPS,
     Event,
     EventBus,
-    EventFanout,
-    LargePageCarved,
-    PageAllocated,
-    PageEvicted,
-    PageEvictedToHost,
-    PageReleased,
-    PrefixHit,
     QuotaResized,
     RequestAdmitted,
     RequestFailed,
@@ -64,7 +56,7 @@ from .resizer import (
     make_resize_policy,
 )
 from .sequence import IMAGE, TEXT, SequenceSpec
-from .two_level import AllocatorStats, TwoLevelAllocator
+from .two_level import ALLOCATION_STEPS, AllocatorStats, TwoLevelAllocator
 
 __all__ = [
     "ALLOCATION_STEPS",
@@ -76,7 +68,6 @@ __all__ = [
     "DroppedTokenPolicy",
     "Event",
     "EventBus",
-    "EventFanout",
     "FULL_ATTENTION",
     "FullAttentionPolicy",
     "GroupBinding",
@@ -89,7 +80,6 @@ __all__ = [
     "KVCacheManager",
     "KVCacheManagerBase",
     "LargePage",
-    "LargePageCarved",
     "LayerTypePolicy",
     "LCMAllocator",
     "LRUEvictor",
@@ -98,14 +88,9 @@ __all__ = [
     "OffloadConfig",
     "OffloadStats",
     "OutOfLargePagesError",
-    "PageAllocated",
-    "PageEvicted",
-    "PageEvictedToHost",
-    "PageReleased",
     "PageState",
     "PhysicalExtent",
     "PoolResizer",
-    "PrefixHit",
     "ProportionalPolicy",
     "QuotaResized",
     "RESIZE_POLICIES",

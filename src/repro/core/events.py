@@ -1,29 +1,27 @@
-"""Structured allocation-event bus threaded through the serving stack.
+"""The engine's record bus: ordered lifecycle records, nothing counted.
 
-Every layer of the system -- :class:`~repro.engine.engine.LLMEngine`, the
-scheduler's waiting queue, :class:`~repro.core.kv_manager.JengaKVCacheManager`,
-:class:`~repro.core.two_level.TwoLevelAllocator`, and the evictors -- emits
-typed records onto one shared :class:`EventBus`.  The bus makes every
-five-step allocation decision (Section 5.4) and every eviction (Section 5)
-observable without print-debugging:
+:class:`EventBus` carries the records a consumer needs *in order* --
+request lifecycle, routing decisions, quota moves, step completions --
+not running counts.  Counts live with their owners and are pulled:
+:class:`~repro.core.two_level.TwoLevelAllocator` keeps the §5.4 step mix,
+carves, evictions and releases, the KV manager keeps its prefix-lookup
+and offload tallies, and the engine keeps its step list and preemption
+counts; :meth:`~repro.engine.engine.LLMEngine.counters` is the one read
+surface.  What travels on the bus:
 
-* the allocator emits :class:`PageAllocated` tagged with the §5.4 step
-  (1-5) that satisfied it (or one :class:`PagesAllocated` per successful
-  batch call, carrying every page of the batch in a single record),
-  :class:`LargePageCarved` when a large page is
-  carved from the LCM pool, :class:`PageEvicted` for small- and large-page
-  evictions, and :class:`PageReleased` when a request's last reference
-  drops;
-* the KV manager emits :class:`PrefixHit` per prefix-cache lookup;
-* the engine emits the request lifecycle (:class:`RequestQueued`,
-  :class:`RequestAdmitted`, :class:`RequestPreempted`,
-  :class:`RequestFinished`, :class:`RequestFailed`) and one
-  :class:`StepCompleted` per engine step.
+* the engine's request lifecycle (:class:`RequestQueued`,
+  :class:`RequestAdmitted`, :class:`AdmissionBlocked`,
+  :class:`RequestPreempted`, :class:`RequestFinished`,
+  :class:`RequestFailed`) and one :class:`StepCompleted` per engine step,
+  which carries the emitting engine so counter consumers know whose
+  owners to sample;
+* the router's :class:`RequestRouted`, on the chosen replica's bus;
+* the resizer's :class:`QuotaResized`, one per quota move.
 
 Consumers subscribe callbacks (optionally filtered by event type); the bus
-keeps nothing itself, so an event type nobody subscribes to is never even
-constructed.  :class:`~repro.engine.metrics.MetricsCollector` rebuilds the
-engine's step/preemption/prefix-hit counters purely from these events.
+keeps nothing itself, and every emit site is guarded by
+:meth:`EventBus.has_subscribers`, so a record nobody subscribes to is
+never even constructed.
 """
 
 from __future__ import annotations
@@ -33,16 +31,8 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Type
 
 __all__ = [
     "EventBus",
-    "EventFanout",
     "Event",
-    "PageAllocated",
-    "PagesAllocated",
-    "LargePageCarved",
-    "PageEvicted",
-    "PageEvictedToHost",
-    "PageReleased",
     "QuotaResized",
-    "PrefixHit",
     "RequestQueued",
     "RequestAdmitted",
     "AdmissionBlocked",
@@ -51,22 +41,7 @@ __all__ = [
     "RequestFailed",
     "RequestRouted",
     "StepCompleted",
-    "ALLOCATION_STEPS",
 ]
-
-# Human-readable names of the §5.4 five-step allocation algorithm, keyed by
-# the ``step`` field of :class:`PageAllocated`.  Step 0 is not part of the
-# paper's algorithm: it tags the naive first-fit path taken when
-# request-aware allocation is disabled (the §4.3 ablation), so analytics
-# can tell it apart from a genuine step-4 fallback.
-ALLOCATION_STEPS: Dict[int, str] = {
-    0: "first-fit small page (request-aware ablation)",
-    1: "request-associated small page",
-    2: "empty large page",
-    3: "evict large page",
-    4: "arbitrary small page",
-    5: "evict small page",
-}
 
 
 @dataclass(frozen=True)
@@ -75,95 +50,15 @@ class Event:
 
 
 @dataclass(frozen=True)
-class PageAllocated(Event):
-    """One small page left the allocator via §5.4 step ``step`` (1-5,
-    or 0 for the request-aware-ablation first-fit path)."""
-
-    group_id: str
-    request_id: str
-    page_id: int
-    step: int
-
-    @property
-    def step_name(self) -> str:
-        return ALLOCATION_STEPS.get(self.step, f"step {self.step}")
-
-
-@dataclass(frozen=True)
-class PagesAllocated(Event):
-    """One batched ``allocate_pages`` call succeeded.
-
-    The batched counterpart of :class:`PageAllocated`: a single record per
-    call instead of one per page.  ``steps[i]`` is the §5.4 step that
-    satisfied ``page_ids[i]``.  Consumers that count pool mutations must
-    treat this as ``len(page_ids)`` allocations.
-    """
-
-    group_id: str
-    request_id: str
-    page_ids: Tuple[int, ...]
-    steps: Tuple[int, ...]
-
-    @property
-    def num_pages(self) -> int:
-        return len(self.page_ids)
-
-
-@dataclass(frozen=True)
-class LargePageCarved(Event):
-    """A large page was carved from the LCM pool into small pages."""
-
-    group_id: str
-    large_page_id: int
-    num_small_pages: int
-
-
-@dataclass(frozen=True)
-class PageEvicted(Event):
-    """An evictable page was reclaimed (``level`` is ``small``/``large``).
-
-    ``last_access`` and ``prefix_length`` are the two-key eviction priority
-    the victim held (Section 5.1's balanced/aligned eviction order).
-    """
-
-    group_id: str
-    page_id: int
-    level: str
-    last_access: float = 0.0
-    prefix_length: float = 0.0
-
-
-@dataclass(frozen=True)
-class PageEvictedToHost(Event):
-    """A cached block spilled to the host-memory offload tier."""
-
-    group_id: str
-    block_hash: int
-    page_bytes: int
-
-
-@dataclass(frozen=True)
-class PageReleased(Event):
-    """A page's last reference dropped (``cached``: kept as evictable).
-
-    Also emitted with ``cached=False`` when a stale cached copy of a block
-    is displaced from the cache index and freed outright.
-    """
-
-    group_id: str
-    page_id: int
-    cached: bool
-
-
-@dataclass(frozen=True)
 class QuotaResized(Event):
     """A group's soft large-page quota changed (elastic repartitioning).
 
-    Emitted by :meth:`~repro.core.two_level.TwoLevelAllocator.set_quota`
-    exactly once per resize, after any deflation reclaim ran.  ``reclaimed``
-    counts the fully-evictable / unpinned large pages the deflation freed
-    back to the LCM pool (each also published its own
-    :class:`PageEvicted` record); ``num_owned`` is the group's ownership
+    Emitted by :class:`~repro.core.resizer.PoolResizer` exactly once per
+    quota move, after :meth:`~repro.core.two_level.TwoLevelAllocator.set_quota`
+    ran any deflation reclaim.  ``reclaimed`` counts the fully-evictable /
+    unpinned large pages the deflation freed back to the LCM pool (each
+    also counted as a large-page eviction by the allocator);
+    ``num_owned`` is the group's ownership
     *after* the resize, which may still exceed ``new_quota`` -- quotas are
     soft, and pages pinned by USED small pages are never reclaimed.
     """
@@ -173,15 +68,6 @@ class QuotaResized(Event):
     new_quota: Optional[int]
     num_owned: int
     reclaimed: int
-
-
-@dataclass(frozen=True)
-class PrefixHit(Event):
-    """One prefix-cache lookup (``hit_tokens`` may be zero on a miss)."""
-
-    request_id: str
-    hit_tokens: int
-    lookup_tokens: int
 
 
 @dataclass(frozen=True)
@@ -264,14 +150,20 @@ class RequestRouted(Event):
 
 @dataclass(frozen=True)
 class StepCompleted(Event):
-    """One engine step finished; ``record`` is the full
-    :class:`~repro.engine.metrics.StepRecord` (typed ``Any`` to keep the
-    core layer free of engine imports)."""
+    """One engine step finished.
+
+    ``record`` is the full :class:`~repro.engine.metrics.StepRecord` and
+    ``engine`` the emitting :class:`~repro.engine.engine.LLMEngine`, whose
+    :meth:`~repro.engine.engine.LLMEngine.counters_by_owner` counter
+    consumers sample (both typed ``Any`` to keep the core layer free of
+    engine imports).
+    """
 
     index: int
     time: float
     num_preemptions: int
     record: Any = field(default=None, compare=False)
+    engine: Any = field(default=None, compare=False)
 
 
 _Handler = Callable[[Event], None]
@@ -285,7 +177,7 @@ class EventBus:
     types nobody listens to.  Emit call sites guard event construction with
     that check (the "event-bus fast path"), so emission on an unobserved
     bus is close to free.  Consumers that want history subscribe a
-    recorder (``bus.subscribe(seen.append, [PrefixHit])``).
+    recorder (``bus.subscribe(seen.append, [RequestQueued])``).
     """
 
     def __init__(self) -> None:
@@ -300,8 +192,8 @@ class EventBus:
         Call sites use this to skip constructing event dataclasses nobody
         would see::
 
-            if events is not None and events.has_subscribers(PageEvicted):
-                events.emit(PageEvicted(...))
+            if events is not None and events.has_subscribers(RequestQueued):
+                events.emit(RequestQueued(...))
         """
         cached = self._interest.get(event_type)
         if cached is None:
@@ -343,72 +235,3 @@ class EventBus:
         self._subscribers = [(t, h) for t, h in self._subscribers if h != handler]
         self._interest.clear()
         return len(self._subscribers) < before
-
-
-class EventFanout(EventBus):
-    """A bus view that multicasts every event to a set of member buses.
-
-    Shared-allocator deployments (``MultiModelEngine`` shared mode, the
-    serving tier's co-tenant replicas) have one :class:`TwoLevelAllocator`
-    observed by N manager views, each wrapping engine owning its *own*
-    per-engine bus.  The allocator holds a single ``events`` reference, so
-    without a fan-out the last ``bind_events`` wins and every sibling's
-    subscribers silently stop receiving pool events.  Installing an
-    ``EventFanout`` as the allocator's bus gives every bound view the full
-    pool feed while each engine's request-lifecycle traffic stays on its
-    own bus.
-
-    The fan-out is itself an :class:`EventBus` (direct subscribers and the
-    interest cache work as usual).  :meth:`has_subscribers` unions member
-    interest so the emit-guard fast path stays exact -- an event type
-    nobody on any member bus listens to is still never constructed.
-    """
-
-    def __init__(self, *members: "EventBus") -> None:
-        super().__init__()
-        self._members: List[EventBus] = []
-        for member in members:
-            self.attach(member)
-
-    @property
-    def members(self) -> Tuple["EventBus", ...]:
-        return tuple(self._members)
-
-    def has_subscribers(self, event_type: Type[Event]) -> bool:
-        if super().has_subscribers(event_type):
-            return True
-        return any(m.has_subscribers(event_type) for m in self._members)
-
-    def emit(self, event: Event) -> None:
-        super().emit(event)
-        for member in self._members:
-            member.emit(event)
-
-    def attach(self, member: "EventBus") -> None:
-        """Add ``member`` to the multicast set (idempotent)."""
-        if member is self:
-            raise ValueError("EventFanout cannot contain itself")
-        if not any(m is member for m in self._members):
-            self._members.append(member)
-
-    def detach(self, member: "EventBus") -> bool:
-        """Remove ``member``; return whether it was attached."""
-        before = len(self._members)
-        self._members = [m for m in self._members if m is not member]
-        return len(self._members) < before
-
-    def replace(self, old: Optional["EventBus"], new: "EventBus") -> None:
-        """Swap ``old`` for ``new`` in place (bind-time rebinding).
-
-        Unknown ``old`` (or ``None``) degrades to :meth:`attach`, so a
-        manager rebinding onto a fresh bus never loses its pool feed.
-        """
-        if old is not None:
-            for i, member in enumerate(self._members):
-                if member is old:
-                    if any(m is new for m in self._members):
-                        del self._members[i]
-                    else:
-                        self._members[i] = new
-                    return
-        self.attach(new)

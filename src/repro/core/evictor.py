@@ -104,8 +104,8 @@ class LRUEvictor(Generic[T]):
         """Like :meth:`evict`, also returning the victim's priority.
 
         Returns ``(item, last_access, prefix_length)`` -- the two-key
-        eviction priority the victim held, used to enrich
-        :class:`~repro.core.events.PageEvicted` records.
+        eviction priority the victim held, which the allocator's
+        aligned/balanced eviction counters classify (Section 5.1).
         """
         self._compact()
         if not self._heap:

@@ -71,8 +71,8 @@ class AllocationMixin(BindingTableMixin):
                 if idx not in binding.held or binding.page_table[idx] is None
             ]
             if missing:
-                # One batched call for the whole write set: one event, one
-                # five-step dispatch per page only past the free bucket.
+                # One batched call for the whole write set: the five-step
+                # dispatch runs per page only past the free bucket.
                 pages = self.allocator.allocate_pages(
                     group_id, seq.request_id, len(missing)
                 )

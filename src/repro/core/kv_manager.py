@@ -56,7 +56,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from .admission import AdmissionCache
-from .events import EventBus, EventFanout
 from .kv_alloc import AllocationMixin, ideal_resident_bytes
 from .kv_binding import BindingTableMixin, GroupBinding, policy_pages_to_write
 from .kv_prefix import PrefixCacheMixin
@@ -101,13 +100,10 @@ class JengaKVCacheManager(
         strategy: Compatible-page-size strategy (``"lcm"``/``"gcd"``/
             ``"max"``) -- non-LCM values exist for the Section 4.4 ablation.
         seed: Seed for randomized per-image eviction draws.
-        events: Event bus allocation/eviction records publish to; a private
-            bus is created when omitted (the engine rebinds managers onto
-            its own via :meth:`bind_events`).
         shared_allocator: Multi-model serving (Section 6.1): several
-            managers, one page pool.  The pool's events fan out to every
-            sharing manager's own bus (see
-            :class:`~repro.core.events.EventFanout`).
+            managers, one page pool.  Each view keeps its own prefix and
+            offload counters; the pool's counters are the allocator's
+            (see :meth:`counter_sources`).
     """
 
     name = "jenga"
@@ -122,9 +118,8 @@ class JengaKVCacheManager(
         request_aware: bool = True,
         offload: Optional[OffloadConfig] = None,
         shared_allocator: Optional[TwoLevelAllocator] = None,
-        events: Optional[EventBus] = None,
     ) -> None:
-        KVCacheManagerBase.__init__(self, events)
+        KVCacheManagerBase.__init__(self)
         self.specs = dict(group_specs)
         if shared_allocator is not None:
             # The shared allocator was built over the union of all models'
@@ -136,16 +131,6 @@ class JengaKVCacheManager(
                 g: shared_allocator.groups[g].policy for g in self.specs
             }
             self.allocator = shared_allocator
-            # One pool, many views: the allocator's bus is a fan-out over
-            # every bound view's own bus, so pool events reach all
-            # siblings while each manager keeps its private per-engine
-            # bus.  A pre-existing plain bus on the allocator stays
-            # attached as a fan-out member, preserving its feed.
-            sink = shared_allocator.events
-            if not isinstance(sink, EventFanout):
-                sink = EventFanout() if sink is None else EventFanout(sink)
-                shared_allocator.events = sink
-            sink.attach(self.events)
         else:
             self.policies = {
                 g: make_policy(s, enable_prefix_caching=enable_prefix_caching, seed=seed)
@@ -158,7 +143,6 @@ class JengaKVCacheManager(
                 strategy=strategy,
                 enable_prefix_caching=enable_prefix_caching,
                 request_aware=request_aware,
-                events=self.events,
             )
         self.enable_prefix_caching = enable_prefix_caching
         # Static probe order for the prefix-lookup path: leading-run groups
@@ -172,9 +156,7 @@ class JengaKVCacheManager(
         ] + [g for g in relevant if not self.policies[g].leading_run_only]
         self._bindings: Dict[str, Dict[str, GroupBinding]] = {}
         self._stream_cache: Dict[Tuple[str, str], List[int]] = {}
-        # Token-level prefix-cache accounting (Figure 17's metric).
-        self.lookup_tokens = 0
-        self.hit_tokens = 0
+        self._init_counters()
         # Optional host-memory offload tier (Section 8 extension): evicted
         # cached blocks spill to host RAM and can be onloaded over PCIe
         # instead of recomputed.
@@ -186,21 +168,13 @@ class JengaKVCacheManager(
         # Per-request demand memo behind can_admit (see repro.core.admission).
         self._admission = AdmissionCache()
 
-    def bind_events(self, events: EventBus) -> None:
-        """Adopt ``events`` for this manager view.
+    def counter_sources(self) -> Tuple[object, ...]:
+        """This view and its allocator: the two owners of its counters.
 
-        On a shared allocator the pool bus is an
-        :class:`~repro.core.events.EventFanout`; this view's old bus is
-        swapped for ``events`` inside it, leaving every sibling's feed
-        intact.  A privately-owned allocator simply follows the manager
-        onto the new bus.
+        Views of a shared allocator return the same allocator object, so
+        a consumer keying deltas by owner folds pool counts once.
         """
-        sink = self.allocator.events
-        if isinstance(sink, EventFanout):
-            sink.replace(self.events, events)
-        else:
-            self.allocator.events = events
-        self.events = events
+        return (self, self.allocator)
 
     def foreign_used_bytes(self) -> int:
         """USED bytes co-tenant views hold in a shared allocator.

@@ -4,15 +4,14 @@
 per-group hash-chain lookup and acquisition at ``begin_request``,
 incremental block-hash registration at commit time, Mamba checkpoint
 stamp refreshing, and the optional host-memory offload tier (spill on
-eviction, onload on hit).  It emits :class:`~repro.core.events.PrefixHit`
-per lookup and :class:`~repro.core.events.PageEvictedToHost` per spill.
+eviction, onload on hit).  It counts lookups, looked-up and hit tokens, and
+host spills; :meth:`PrefixCacheMixin.counters` reads them.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .events import EventBus, PageEvictedToHost, PrefixHit
 from .kv_binding import BindingTableMixin, GroupBinding
 from .offload import HostMemoryPool
 from .layer_policy import LayerTypePolicy, MAMBA, VISION_EMBEDDING
@@ -28,18 +27,32 @@ class PrefixCacheMixin(BindingTableMixin):
     """Prefix-cache lookup, registration, and offload coordination.
 
     Extends :class:`~repro.core.kv_binding.BindingTableMixin`; the extra
-    attributes declared here (``events``, ``enable_prefix_caching``,
-    ``host_pool``, hit accounting) are supplied by the composing manager.
+    attributes declared here (``enable_prefix_caching``, ``host_pool``,
+    hit and spill accounting) are supplied by the composing manager.
     """
 
-    events: EventBus
     enable_prefix_caching: bool
     host_pool: Optional[HostMemoryPool]
     _lookup_order: List[str]
+    num_lookups: int
     lookup_tokens: int
     hit_tokens: int
+    num_spills: int
+    spill_bytes: int
     tracer: Optional[Any]
     _pending_onload_bytes: Dict[str, int]
+
+    def _init_counters(self) -> None:
+        """Zero this view's lookup and spill counters (construction only).
+
+        Token-level prefix-cache accounting is Figure 17's metric; all of
+        these are read through :meth:`counters` and move only here.
+        """
+        self.num_lookups = 0
+        self.lookup_tokens = 0
+        self.hit_tokens = 0
+        self.num_spills = 0
+        self.spill_bytes = 0
 
     def begin_request(self, seq: SequenceSpec) -> int:
         """Register ``seq`` and acquire its prefix-cache hit.
@@ -140,10 +153,9 @@ class PrefixCacheMixin(BindingTableMixin):
             hit_global = longest_common_prefix(
                 seq, valid, tags, max_global=cap_global
             )
+        self.num_lookups += 1
         self.lookup_tokens += len(seq)
         if hit_global <= 0:
-            if self.events.has_subscribers(PrefixHit):
-                self.events.emit(PrefixHit(seq.request_id, 0, len(seq)))
             return 0
 
         acquired: List[Tuple[str, int]] = []
@@ -199,12 +211,8 @@ class PrefixCacheMixin(BindingTableMixin):
                 self.allocator.release_page(group_id, page_id, cacheable=True)
             for group_id in self.specs:
                 bindings[group_id] = GroupBinding()
-            if self.events.has_subscribers(PrefixHit):
-                self.events.emit(PrefixHit(seq.request_id, 0, len(seq)))
             return 0
         self.hit_tokens += hit_global
-        if self.events.has_subscribers(PrefixHit):
-            self.events.emit(PrefixHit(seq.request_id, hit_global, len(seq)))
         return hit_global
 
     def _needed_hit_pages(
@@ -289,8 +297,8 @@ class PrefixCacheMixin(BindingTableMixin):
         """Spill an evicted cached block to the host pool."""
         assert self.host_pool is not None
         self.host_pool.offload(block_hash, group_id, page_bytes)
-        if self.events.has_subscribers(PageEvictedToHost):
-            self.events.emit(PageEvictedToHost(group_id, block_hash, page_bytes))
+        self.num_spills += 1
+        self.spill_bytes += page_bytes
 
     def _materialize_from_host(
         self,
@@ -338,3 +346,22 @@ class PrefixCacheMixin(BindingTableMixin):
     def prefix_hit_rate(self) -> float:
         """Fraction of looked-up prompt tokens served from cache."""
         return self.hit_tokens / self.lookup_tokens if self.lookup_tokens else 0.0
+
+    def counters(self) -> Dict[str, int]:
+        """This view's cumulative counters since construction.
+
+        ``prefix/lookups`` / ``prefix/hit_tokens`` / ``prefix/lookup_tokens``
+        once any lookup ran (a miss still reports ``hit_tokens``), and
+        ``offload/spills`` / ``offload/spill_bytes`` once a cached block
+        spilled to the host tier.  The pool's counters are the
+        allocator's own (:meth:`~repro.core.two_level.TwoLevelAllocator.counters`).
+        """
+        out: Dict[str, int] = {}
+        if self.num_lookups:
+            out["prefix/lookups"] = self.num_lookups
+            out["prefix/hit_tokens"] = self.hit_tokens
+            out["prefix/lookup_tokens"] = self.lookup_tokens
+        if self.num_spills:
+            out["offload/spills"] = self.num_spills
+            out["offload/spill_bytes"] = self.spill_bytes
+        return out

@@ -474,7 +474,6 @@ class VisionEmbeddingPolicy(LayerTypePolicy):
     def __init__(self, spec: GroupSpec, seed: int = 0) -> None:
         super().__init__(spec)
         self._rng = random.Random(seed)
-        self._image_draws: Dict[Tuple[str, int], float] = {}
         # Per-request consumed watermark (stream tokens fully consumed by
         # prefill).  The manager updates it; active_page_indices reads it.
         self._consumed: Dict[str, int] = {}
@@ -508,12 +507,13 @@ class VisionEmbeddingPolicy(LayerTypePolicy):
         for i, page in enumerate(pages):
             if page is None:
                 continue
-            token = i * tpp
-            image_idx = self._image_of(token, spans)
-            key = (seq.request_id, image_idx)
-            if key not in self._image_draws:
-                self._image_draws[key] = self._rng.random() * 1e9
-            page.prefix_length = self._image_draws[key]
+            image_idx = self._image_of(i * tpp, spans)
+            # Drawn on first sighting per (request, image) and memoized on
+            # the request, so the draw is dropped with it.
+            page.prefix_length = seq.draw_once((self, image_idx), self._draw)
+
+    def _draw(self) -> float:
+        return self._rng.random() * 1e9
 
     @staticmethod
     def _image_of(stream_token: int, spans: List[Tuple[int, int]]) -> int:

@@ -11,8 +11,8 @@ the engine is allowed to touch:
   ``tests/test_protocol.py`` runs this over every registered manager).
 * :class:`KVCacheManagerBase` -- a concrete base class providing the
   defaults optional members used to be duck-typed for (``kernel_slowdown``
-  of 1.0, a zero ``prefix_hit_rate``, no vision cache, no offload debt)
-  plus event-bus plumbing.  All in-tree managers -- Jenga, the four
+  of 1.0, a zero ``prefix_hit_rate``, no vision cache, no offload debt,
+  no counters) plus tracer plumbing.  All in-tree managers -- Jenga, the four
   baselines, and the spec-decode composite -- derive from it; new backends
   should too, then register a factory in :mod:`repro.core.registry`.
 
@@ -25,9 +25,8 @@ scheduler's capacity probes and ``stats`` the memory snapshot.
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Optional, Protocol, runtime_checkable
+from typing import Any, Dict, FrozenSet, Optional, Protocol, Tuple, runtime_checkable
 
-from .events import EventBus
 from .sequence import SequenceSpec
 from .two_level import AllocatorStats
 
@@ -39,7 +38,6 @@ class KVCacheManager(Protocol):
     """Everything the engine and scheduler may touch on a memory manager."""
 
     name: str
-    events: EventBus
 
     # -- request lifecycle ---------------------------------------------
 
@@ -131,10 +129,16 @@ class KVCacheManager(Protocol):
         """Drain PCIe transfer debt accrued by host-offload cache hits."""
         ...
 
-    # -- event plumbing -------------------------------------------------
+    # -- observability ------------------------------------------------
 
-    def bind_events(self, events: EventBus) -> None:
-        """Adopt ``events`` as this manager's bus (propagating downward)."""
+    def counter_sources(self) -> Tuple[Any, ...]:
+        """Owners of this manager's cumulative counters.
+
+        Each owner exposes ``counters() -> Dict[str, int]`` (the view's
+        prefix/offload tallies, its allocator's pool counters).  Owners
+        are returned as objects, not merged, so consumers sampling several
+        views of one shared pool can fold each owner's deltas once.
+        """
         ...
 
     def bind_tracer(self, tracer: Any) -> None:
@@ -177,12 +181,11 @@ class KVCacheManagerBase:
 
     name = "abstract"
 
-    def __init__(self, events: Optional[EventBus] = None) -> None:
-        self.events: EventBus = events if events is not None else EventBus()
+    def __init__(self) -> None:
         self.tracer: Optional[Any] = None
 
-    def bind_events(self, events: EventBus) -> None:
-        self.events = events
+    def counter_sources(self) -> Tuple[Any, ...]:
+        return ()
 
     def bind_tracer(self, tracer: Any) -> None:
         self.tracer = tracer

@@ -10,11 +10,11 @@ monitor's per-group pressure components together with the allocator's
 live ownership counters into a :class:`GroupPressure` observation per
 group, asks its :class:`ResizePolicy` for desired quotas, and applies the
 changes through :meth:`~repro.core.two_level.TwoLevelAllocator.set_quota`
--- which deflates over-quota groups (fully-evictable large pages first),
-moves the allocator's pool version (so blocked admission heads re-probe)
-and publishes one guarded :class:`~repro.core.events.QuotaResized` record
-per move, so telemetry counters and Chrome-trace timelines see every
-resize.
+-- which deflates over-quota groups (fully-evictable large pages first)
+and moves the allocator's pool version (so blocked admission heads
+re-probe).  The resizer then publishes one guarded
+:class:`~repro.core.events.QuotaResized` record per move, so telemetry
+counters and Chrome-trace timelines see every resize.
 
 Three registered policies make elastic and fixed partitioning comparable
 on the same workload (``benchmarks/bench_allocator.py``'s elastic sweep):
@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Protocol, Tuple, Union
 
-from .events import Event, EventBus, StepCompleted
+from .events import Event, EventBus, QuotaResized, StepCompleted
 from .two_level import TwoLevelAllocator
 
 __all__ = [
@@ -304,7 +304,25 @@ class PoolResizer:
             return
         share, leftover = divmod(total, len(group_ids))
         for index, group_id in enumerate(group_ids):
-            allocator.set_quota(group_id, share + (1 if index < leftover else 0))
+            self._resize(group_id, share + (1 if index < leftover else 0))
+
+    def _resize(self, group_id: str, quota: int) -> int:
+        """Apply one quota move; returns large pages reclaimed.
+
+        A move to the group's current quota is a no-op and publishes
+        nothing; a real move publishes one :class:`QuotaResized`.
+        """
+        allocator = self.allocator
+        old = allocator.quota_of(group_id)
+        if old == quota:
+            return 0
+        reclaimed = allocator.set_quota(group_id, quota)
+        if self.events.has_subscribers(QuotaResized):
+            self.events.emit(QuotaResized(
+                group_id, old, quota, allocator.large_pages_owned(group_id),
+                reclaimed,
+            ))
+        return reclaimed
 
     def _on_event(self, event: Event) -> None:
         if isinstance(event, StepCompleted):
@@ -341,7 +359,7 @@ class PoolResizer:
         for group_id in sorted(desired):
             quota = desired[group_id]
             if allocator.quota_of(group_id) != quota:
-                self.num_reclaimed += allocator.set_quota(group_id, quota)
+                self.num_reclaimed += self._resize(group_id, quota)
                 moved += 1
         self.num_resizes += moved
         return moved

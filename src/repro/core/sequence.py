@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple
 
 __all__ = ["TokenTag", "SequenceSpec", "TEXT", "IMAGE", "HASH_SEED"]
 
@@ -90,6 +90,10 @@ class SequenceSpec:
     _hash_chains: Dict[ChainKey, _HashChain] = field(
         default_factory=dict, repr=False, compare=False
     )
+    # Per-image random draws of vision-embedding eviction (see draw_once):
+    # held by the request itself, so they live exactly as long as it does
+    # and survive preemption and truncation.
+    _draws: Dict[Hashable, float] = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.token_ids) != len(self.tags):
@@ -156,6 +160,18 @@ class SequenceSpec:
         self._prefix_counts.clear()
         self._hash_chains.clear()
         self._tag_set = set(self.tags)
+
+    def draw_once(self, key: Hashable, draw: Callable[[], float]) -> float:
+        """The draw memoized under ``key``, calling ``draw`` on first sight.
+
+        Vision-embedding policies key their per-image eviction priority by
+        ``(policy, image index)``: the first sighting consumes the policy's
+        RNG, every later one (including after a preemption) reuses it.
+        """
+        value = self._draws.get(key)
+        if value is None:
+            value = self._draws[key] = draw()
+        return value
 
     # ------------------------------------------------------------------
     # Views

@@ -32,15 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .events import (
-    EventBus,
-    LargePageCarved,
-    PageAllocated,
-    PageEvicted,
-    PageReleased,
-    PagesAllocated,
-    QuotaResized,
-)
 from .evictor import LRUEvictor
 from .free_pool import FreePool
 from .layer_policy import GroupSpec, LayerTypePolicy
@@ -48,7 +39,35 @@ from .lcm_allocator import LCMAllocator
 from .pages import PageState, PhysicalExtent, SmallPage
 from .prefix_cache import CachedBlockIndex
 
-__all__ = ["GroupAllocator", "TwoLevelAllocator", "AllocatorStats"]
+__all__ = [
+    "ALLOCATION_STEPS",
+    "EVICT_GROUP_PREFIX",
+    "GroupAllocator",
+    "TwoLevelAllocator",
+    "AllocatorStats",
+]
+
+# Human-readable names of the §5.4 five-step allocation algorithm, keyed by
+# step number.  Step 0 is not part of the paper's algorithm: it tags the
+# naive first-fit path taken when request-aware allocation is disabled
+# (the §4.3 ablation), so analytics can tell it apart from a genuine
+# step-4 fallback.
+ALLOCATION_STEPS: Dict[int, str] = {
+    0: "first-fit small page (request-aware ablation)",
+    1: "request-associated small page",
+    2: "empty large page",
+    3: "evict large page",
+    4: "arbitrary small page",
+    5: "evict small page",
+}
+
+#: Counter keys of :meth:`TwoLevelAllocator.counters`, precomputed so the
+#: read builds no strings per step.
+_STEP_KEYS: Tuple[str, ...] = tuple(f"alloc/step/{n}" for n in ALLOCATION_STEPS)
+
+#: Key prefix of :meth:`TwoLevelAllocator.counters`' evictions per victim
+#: group (``evict/group/<gid>``).
+EVICT_GROUP_PREFIX = "evict/group/"
 
 
 @dataclass
@@ -107,7 +126,7 @@ class GroupAllocator:
         # Enforced at carve time (steps 2/3); ownership may exceed the
         # quota after a deflation until releases catch up.  Set through
         # TwoLevelAllocator.set_quota, which also runs the deflation
-        # reclaim and publishes the QuotaResized record.
+        # reclaim.
         self.quota: Optional[int] = None
 
     def note_fill(self, delta_tokens: int) -> None:
@@ -206,7 +225,6 @@ class TwoLevelAllocator:
         strategy: str = "lcm",
         enable_prefix_caching: bool = True,
         request_aware: bool = True,
-        events: Optional[EventBus] = None,
     ) -> None:
         if set(specs) != set(policies):
             raise ValueError("specs and policies must cover the same groups")
@@ -233,17 +251,30 @@ class TwoLevelAllocator:
         # only in _carve_and_take / _return_large_page.
         self._num_large_owned: Dict[str, int] = {g: 0 for g in specs}
         self.num_large_evictions = 0
+        # Cumulative counters, read through counters().  Pages per
+        # §5.4 step count committed allocations only: a rolled-back batch
+        # moves the carve, eviction and release counters but not these.
+        self._step_pages: List[int] = [0] * len(ALLOCATION_STEPS)
+        self._num_carves = 0
+        self._num_small_evictions = 0
+        # Evictions by §5.1 priority provenance: a victim with a non-zero
+        # prefix length was chosen with the prefix-depth tie-break
+        # ("aligned"); a zero one by plain recency ("balanced").
+        self._num_aligned_evictions = 0
+        self._num_balanced_evictions = 0
+        # Evictions (both levels) per victim's owning group, with the
+        # counters() key of each group precomputed.
+        self._evictions_by_group: Dict[str, int] = {g: 0 for g in specs}
+        self._group_evict_keys = {g: EVICT_GROUP_PREFIX + g for g in specs}
+        self._num_released_cached = 0
+        self._num_released_freed = 0
         # Optional hook fired when a *cached* (hashed) page is reclaimed:
         # (group_id, block_hash, page_bytes).  The KV manager uses it to
         # spill evicted blocks to a host-memory offload tier (Section 8).
         self.eviction_listener: Optional[Callable[[str, int, int], None]] = None
-        # Event bus receiving PageAllocated/LargePageCarved/PageEvicted/
-        # PageReleased records; None keeps emission free for direct
-        # constructions (property tests, micro-benchmarks).
-        self.events = events
         # Monotone pool-state version: bumped at every state-change choke
         # point (_bump, _carve_and_take, _evict_large_page,
-        # _return_large_page, a quota change), independent of any bus.
+        # _return_large_page, a quota change).
         # Admission verdicts are a function of the counters those points
         # move, so an unchanged version means an unchanged pool side.
         self._pool_version = 0
@@ -262,8 +293,7 @@ class TwoLevelAllocator:
         if taken is None:
             return None
         page, step = taken
-        if self.events is not None and self.events.has_subscribers(PageAllocated):
-            self.events.emit(PageAllocated(group_id, request_id, page.page_id, step))
+        self._step_pages[step] += 1
         return page
 
     def allocate_pages(
@@ -272,11 +302,10 @@ class TwoLevelAllocator:
         """Allocate ``n`` small pages of ``group_id`` in one batched call.
 
         All-or-nothing: on success returns the ``n`` activated pages (in
-        allocation order) and publishes exactly one
-        :class:`~repro.core.events.PagesAllocated` record for the whole
-        batch; when any page cannot be found the pages taken so far are
-        released back (their :class:`~repro.core.events.PageReleased`
-        records keep event-driven caches honest) and ``None`` is returned.
+        allocation order) and counts each under its §5.4 step; when any
+        page cannot be found the pages taken so far are released back
+        (counted as freed releases, never as allocations -- the carves and
+        evictions the batch did still count) and ``None`` is returned.
         ``n <= 0`` is a no-op returning an empty list.
 
         Request-associated empty pages (step 1) are drained via one
@@ -298,15 +327,9 @@ class TwoLevelAllocator:
                 return None
             taken.append(result[0])
             steps.append(result[1])
-        if taken and self.events is not None and self.events.has_subscribers(
-            PagesAllocated
-        ):
-            self.events.emit(PagesAllocated(
-                group_id,
-                request_id,
-                tuple(page.page_id for page in taken),
-                tuple(steps),
-            ))
+        step_pages = self._step_pages
+        for step in steps:
+            step_pages[step] += 1
         return taken
 
     def _allocate_one(
@@ -314,14 +337,14 @@ class TwoLevelAllocator:
     ) -> Optional[Tuple[SmallPage, int]]:
         """Run the five-step algorithm once; returns (page, step).
 
-        Emission of the allocation record is left to the caller so the
-        batched path can publish one event per call instead of per page
-        (eviction and carve records still fire here -- they are pool
-        mutations in their own right).
+        Counting the page under its step is left to the caller, which
+        knows whether the allocation commits (a batch may still roll
+        back); evictions and carves count here -- they are pool mutations
+        in their own right.
         """
         if not self.request_aware:
             # Ablation mode (§4.3): naive first-fit over any empty small
-            # page, tagged step=0 so event analytics never conflate it
+            # page, tagged step=0 so step analytics never conflate it
             # with a genuine step-4 fallback.  When it misses, the pool
             # holds no empty page at all, so step 1 is skipped (it could
             # only re-probe the pool this just proved empty).
@@ -350,16 +373,13 @@ class TwoLevelAllocator:
 
         # Step 3: evict a fully-evictable large page (any group's).
         if under_quota and len(self.large_evictor):
-            victim_id, last_access, prefix_length = self.large_evictor.evict_with_key()
+            victim_id, _, prefix_length = self.large_evictor.evict_with_key()
             victim_group = self.lcm.page(victim_id).owner_group
             assert victim_group is not None
             self._num_fully_evictable[victim_group] -= 1
             self._evict_large_page(victim_id)
             self.num_large_evictions += 1
-            if self.events is not None and self.events.has_subscribers(PageEvicted):
-                self.events.emit(PageEvicted(
-                    victim_group, victim_id, "large", last_access, prefix_length
-                ))
+            self._count_eviction(victim_group, prefix_length)
             page = self._carve_and_take(group, request_id)
             return self._activate(group, page, request_id), 3
 
@@ -370,15 +390,12 @@ class TwoLevelAllocator:
 
         # Step 5: evict an evictable small page of this group.
         if len(group.evictor):
-            victim_id, last_access, prefix_length = group.evictor.evict_with_key()
+            victim_id, _, prefix_length = group.evictor.evict_with_key()
             victim = group.pages[victim_id]
             self._reclaim_evictable(group, victim)
             group.note_eviction()
-            if self.events is not None and self.events.has_subscribers(PageEvicted):
-                self.events.emit(PageEvicted(
-                    group.spec.group_id, victim_id, "small", last_access,
-                    prefix_length
-                ))
+            self._num_small_evictions += 1
+            self._count_eviction(group.spec.group_id, prefix_length)
             return self._activate(group, victim, request_id), 5
 
         return None
@@ -386,10 +403,7 @@ class TwoLevelAllocator:
     def _carve_and_take(self, group: GroupAllocator, request_id: str) -> SmallPage:
         self._pool_version += 1
         large = self.lcm.allocate(group.spec.group_id)
-        if self.events is not None and self.events.has_subscribers(LargePageCarved):
-            self.events.emit(LargePageCarved(
-                group.spec.group_id, large.page_id, group.small_per_large
-            ))
+        self._num_carves += 1
         self._large_counts[large.page_id] = [group.small_per_large, 0, 0]
         self._num_large_owned[group.spec.group_id] += 1
         first: Optional[SmallPage] = None
@@ -430,16 +444,15 @@ class TwoLevelAllocator:
         page.ref_count -= 1
         if page.ref_count > 0:
             return
-        cached = cacheable and self.enable_prefix_caching and page.block_hash is not None
-        if cached:
+        if cacheable and self.enable_prefix_caching and page.block_hash is not None:
             group.note_fill(-page.num_tokens)
             self._bump(page, PageState.USED, PageState.EVICTABLE)
             page.state = PageState.EVICTABLE
             group.evictor.add(page.page_id, page.last_access, page.prefix_length)
+            self._num_released_cached += 1
         else:
             self._free_page(group, page)
-        if self.events is not None and self.events.has_subscribers(PageReleased):
-            self.events.emit(PageReleased(group_id, page_id, cached))
+            self._num_released_freed += 1
 
     def acquire_cached(
         self, group_id: str, block_hash: int, request_id: str
@@ -475,13 +488,11 @@ class TwoLevelAllocator:
             if old is not None and old.block_hash == block_hash:
                 old.block_hash = None
                 if old.is_evictable:
-                    old_page_id = old.page_id
-                    group.evictor.discard(old_page_id)
+                    group.evictor.discard(old.page_id)
                     self._free_page(group, old)
                     # The displaced copy freed outright without passing
-                    # through release_page: publish the state change.
-                    if self.events is not None and self.events.has_subscribers(PageReleased):
-                        self.events.emit(PageReleased(group_id, old_page_id, False))
+                    # through release_page: count it as a freed release.
+                    self._num_released_freed += 1
 
     def touch_evictable(self, group_id: str, page: SmallPage) -> None:
         """Re-key an evictable page after its eviction metadata changed."""
@@ -593,6 +604,14 @@ class TwoLevelAllocator:
         self._large_evictor_discard(large_id)
         self.lcm.free(large_id)
 
+    def _count_eviction(self, group_id: str, prefix_length: float) -> None:
+        """Count one eviction (either level) of ``group_id``'s page."""
+        self._evictions_by_group[group_id] += 1
+        if prefix_length:
+            self._num_aligned_evictions += 1
+        else:
+            self._num_balanced_evictions += 1
+
     def _total_slots(self, large_id: int) -> int:
         owner = self.lcm.owner_of(large_id)
         return self.groups[owner].small_per_large if owner else 0
@@ -672,6 +691,41 @@ class TwoLevelAllocator:
         """
         return self._pool_version
 
+    def counters(self) -> Dict[str, int]:
+        """Cumulative pool counters since construction, non-zero keys only.
+
+        Keys: ``alloc/pages`` and ``alloc/step/<n>`` (committed pages per
+        §5.4 step), ``alloc/large_carved``, ``evict/small`` /
+        ``evict/large`` and ``evict/priority/aligned`` /
+        ``evict/priority/balanced`` (§5.1 provenance), ``evict/group/<gid>``
+        (victims per owning group, both levels), and ``release/cached`` /
+        ``release/freed``.  Shared-pool views all read this one set, so a
+        consumer folding deltas keys them by allocator, not by engine.
+        O(#groups) per call.
+        """
+        out: Dict[str, int] = {}
+        pages = 0
+        for key, n in zip(_STEP_KEYS, self._step_pages):
+            if n:
+                out[key] = n
+                pages += n
+        for key, n in (
+            ("alloc/pages", pages),
+            ("alloc/large_carved", self._num_carves),
+            ("evict/small", self._num_small_evictions),
+            ("evict/large", self.num_large_evictions),
+            ("evict/priority/aligned", self._num_aligned_evictions),
+            ("evict/priority/balanced", self._num_balanced_evictions),
+            ("release/cached", self._num_released_cached),
+            ("release/freed", self._num_released_freed),
+        ):
+            if n:
+                out[key] = n
+        for group_id, n in self._evictions_by_group.items():
+            if n:
+                out[self._group_evict_keys[group_id]] = n
+        return out
+
     def fully_evictable_large_pages(self, group_id: str) -> int:
         """Large-evictor members owned by ``group_id`` (O(1) counter)."""
         return self._num_fully_evictable[group_id]
@@ -698,9 +752,8 @@ class TwoLevelAllocator:
         releases catch up, and no new carves happen until it does.
 
         Every quota *change* bumps :attr:`pool_version` (the admission
-        carve headroom moved) and publishes exactly one guarded
-        :class:`QuotaResized` record (plus one :class:`PageEvicted` per
-        reclaimed large page); setting the same quota again is a silent
+        carve headroom moved) and counts each reclaimed large page as a
+        large-page eviction; setting the same quota again is a silent
         no-op.
         """
         if quota is not None and quota < 0:
@@ -713,14 +766,9 @@ class TwoLevelAllocator:
             return 0
         self._pool_version += 1
         group.quota = quota
-        reclaimed = 0
         if quota is not None and self._num_large_owned[group_id] > quota:
-            reclaimed = self._deflate_slow(group_id, quota)
-        if self.events is not None and self.events.has_subscribers(QuotaResized):
-            self.events.emit(QuotaResized(
-                group_id, old, quota, self._num_large_owned[group_id], reclaimed
-            ))
-        return reclaimed
+            return self._deflate_slow(group_id, quota)
+        return 0
 
     def _deflate_slow(self, group_id: str, quota: int) -> int:
         """Reclaim ``group_id``'s large pages down toward ``quota``.
@@ -758,11 +806,8 @@ class TwoLevelAllocator:
                     break
                 self._evict_large_page(victim_id)
                 self.num_large_evictions += 1
+                self._count_eviction(group_id, prefix)
                 reclaimed += 1
-                if self.events is not None and self.events.has_subscribers(PageEvicted):
-                    self.events.emit(PageEvicted(
-                        group_id, victim_id, "large", last, prefix
-                    ))
         return reclaimed
 
     def reclaimable_pages(self, group_id: str) -> int:

@@ -2,13 +2,7 @@
 
 from .cost_model import CostModel, StepWork
 from .engine import LLMEngine
-from .metrics import (
-    EngineMetrics,
-    MemorySnapshot,
-    MetricsCollector,
-    RequestMetrics,
-    StepRecord,
-)
+from .metrics import EngineMetrics, MemorySnapshot, RequestMetrics, StepRecord
 from .multi_model import MultiModelEngine, build_shared_managers
 from .request import Request, RequestState
 from .scheduler import PROFILES, SchedulerConfig, WaitingQueue, profile_config
@@ -19,7 +13,6 @@ __all__ = [
     "EngineMetrics",
     "LLMEngine",
     "MemorySnapshot",
-    "MetricsCollector",
     "MultiModelEngine",
     "PROFILES",
     "Request",

@@ -11,7 +11,7 @@ model's step time.  The *only* component swapped between "vLLM" and
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.events import (
     AdmissionBlocked,
@@ -26,13 +26,7 @@ from ..engine.cost_model import CostModel, StepWork
 from ..models.config import ModelSpec
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..platforms.gpu import GPU
-from .metrics import (
-    EngineMetrics,
-    MemorySnapshot,
-    MetricsCollector,
-    RequestMetrics,
-    StepRecord,
-)
+from .metrics import EngineMetrics, MemorySnapshot, RequestMetrics, StepRecord
 from .request import Request, RequestState
 from .scheduler import AdmissionGate, SchedulerConfig, WaitingQueue
 
@@ -52,10 +46,12 @@ class LLMEngine:
         config: Scheduler knobs.
         cost_model: Override the default roofline cost model (tests use a
             unit-cost model for determinism).
-        events: Event bus the whole stack publishes to.  The engine owns
-            one bus per instance (so per-engine metrics stay exact even
-            when managers share an allocator) and rebinds the manager onto
-            it; pass a bus explicitly to share it across components.
+        events: Bus for the engine's lifecycle records (request queued /
+            admitted / blocked / preempted / finished / failed, one
+            :class:`~repro.core.events.StepCompleted` per step).  A
+            private bus is created when omitted; pass one explicitly to
+            share it across components.  Counts are not published here:
+            read them through :meth:`counters`.
         tracer: Span tracer for wall-clock step profiling.  Defaults to
             the inert :data:`~repro.obs.tracer.NULL_TRACER`; pass an
             enabled :class:`~repro.obs.tracer.Tracer` to split each step
@@ -83,10 +79,11 @@ class LLMEngine:
         )
         self.events = events if events is not None else EventBus()
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        manager.bind_events(self.events)
         manager.bind_tracer(self.tracer)
-        self.collector = MetricsCollector(self.events)
         self.clock = 0.0
+        self.steps: List[StepRecord] = []
+        # Preemptions by reason ("victim" / "self"), read via counters().
+        self._preemptions_by_reason: Dict[str, int] = {}
         self.waiting = WaitingQueue(events=self.events, tracer=self.tracer)
         self.running: List[Request] = []
         self.finished: List[RequestMetrics] = []
@@ -101,11 +98,6 @@ class LLMEngine:
         # Skip re-probing a blocked queue head until pool state changes
         # (keyed on the manager's monotone admission_version).
         self._admission_gate = AdmissionGate()
-
-    @property
-    def steps(self) -> List[StepRecord]:
-        """Per-step records, accumulated by the event-bus collector."""
-        return self.collector.steps
 
     # ------------------------------------------------------------------
     # Public API
@@ -129,23 +121,45 @@ class LLMEngine:
                 break
         return self.metrics()
 
-    def close(self) -> None:
-        """Detach this engine's bus subscriptions (idempotent).
+    def counters_by_owner(self) -> List[Tuple[Any, Dict[str, int]]]:
+        """``(owner, cumulative counts)`` for this engine and its manager.
 
-        Call when the engine is done and its bus outlives it (shared or
-        reused buses would otherwise keep feeding the dead collector).
-        :meth:`metrics` stays valid after closing.
+        The owners are the engine itself (``preempt/<reason>``), the
+        manager view (prefix-lookup and offload tallies) and its allocator
+        (§5.4 step mix, carves, evictions, releases; see
+        :meth:`~repro.core.two_level.TwoLevelAllocator.counters`).
+        Consumers folding deltas across several engines key them by
+        owner: engines over one shared pool name the same allocator,
+        whose counts must be folded once.
         """
-        self.collector.close()
+        owned: List[Tuple[Any, Dict[str, int]]] = [
+            (self, dict(self._preemptions_by_reason))
+        ]
+        for source in self.manager.counter_sources():
+            owned.append((source, source.counters()))
+        return owned
+
+    def counters(self) -> Dict[str, int]:
+        """Every owner's cumulative counters, summed by key.
+
+        The one read surface for run totals; each count runs from its
+        owner's construction.
+        """
+        merged: Dict[str, int] = {}
+        for _, counts in self.counters_by_owner():
+            for key, value in counts.items():
+                merged[key] = merged.get(key, 0) + value
+        return merged
 
     def metrics(self) -> EngineMetrics:
+        counters = self.counters()
         return EngineMetrics(
             steps=list(self.steps),
             requests=list(self.finished),
             prefix_hit_rate=self.manager.prefix_hit_rate,
-            preemptions=self.collector.preemptions,
-            prefix_hit_tokens=self.collector.prefix_hit_tokens,
-            prefix_lookup_tokens=self.collector.prefix_lookup_tokens,
+            preemptions=sum(self._preemptions_by_reason.values()),
+            prefix_hit_tokens=counters.get("prefix/hit_tokens", 0),
+            prefix_lookup_tokens=counters.get("prefix/lookup_tokens", 0),
         )
 
     # ------------------------------------------------------------------
@@ -276,9 +290,10 @@ class LLMEngine:
     # ------------------------------------------------------------------
 
     def _complete_step(self, record: StepRecord) -> StepRecord:
-        """Step bookkeeping shared with subclasses: index, admission
-        cooldown, and the :class:`StepCompleted` emission (which is what
-        appends ``record`` to :attr:`steps` via the collector)."""
+        """Step bookkeeping shared with subclasses: the :attr:`steps`
+        append, index, admission cooldown, and the :class:`StepCompleted`
+        emission."""
+        self.steps.append(record)
         self._step_index += 1
         if record.num_preemptions:
             self._admission_cooldown = self._PREEMPTION_COOLDOWN_STEPS
@@ -295,6 +310,7 @@ class LLMEngine:
                 record.start_time + record.duration,
                 record.num_preemptions,
                 record,
+                self,
             ))
         return record
 
@@ -465,6 +481,8 @@ class LLMEngine:
         self.running.remove(victim)
         if tracing:
             tracer.end_span()
+        key = "preempt/" + reason
+        self._preemptions_by_reason[key] = self._preemptions_by_reason.get(key, 0) + 1
         if self.events.has_subscribers(RequestPreempted):
             self.events.emit(RequestPreempted(victim.request_id, self.clock, reason=reason))
         self.waiting.push(victim)

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..core.events import Event, EventBus, PrefixHit, RequestPreempted, StepCompleted
 from ..core.math_utils import percentile as _percentile
 
 __all__ = [
@@ -19,7 +18,6 @@ __all__ = [
     "RequestMetrics",
     "EngineMetrics",
     "MemorySnapshot",
-    "MetricsCollector",
 ]
 
 
@@ -92,49 +90,6 @@ class RequestMetrics:
         return (self.finish_time - self.first_token_time) / (self.output_len - 1)
 
 
-class MetricsCollector:
-    """Event-bus consumer that rebuilds the engine's running counters.
-
-    The engine does not maintain a step list or preemption tally itself;
-    it emits :class:`~repro.core.events.StepCompleted` /
-    :class:`~repro.core.events.RequestPreempted` /
-    :class:`~repro.core.events.PrefixHit` records, and this collector --
-    subscribed to the engine's bus -- accumulates them.  Any other
-    consumer (a live dashboard, a trace writer) can subscribe alongside
-    without the engine knowing.
-    """
-
-    def __init__(self, events: EventBus) -> None:
-        self.events = events
-        self.steps: List[StepRecord] = []
-        self.preemptions = 0
-        self.prefix_hit_tokens = 0
-        self.prefix_lookup_tokens = 0
-        self._closed = False
-        events.subscribe(self._on_event, [StepCompleted, RequestPreempted, PrefixHit])
-
-    def close(self) -> None:
-        """Unsubscribe from the bus (idempotent).
-
-        Collected state stays readable afterwards.  Without this, every
-        engine run against a shared/reused bus leaks one dead handler
-        that keeps counting other engines' events.
-        """
-        if not self._closed:
-            self.events.unsubscribe(self._on_event)
-            self._closed = True
-
-    def _on_event(self, event: Event) -> None:
-        if isinstance(event, StepCompleted):
-            if event.record is not None:
-                self.steps.append(event.record)
-        elif isinstance(event, RequestPreempted):
-            self.preemptions += 1
-        elif isinstance(event, PrefixHit):
-            self.prefix_hit_tokens += event.hit_tokens
-            self.prefix_lookup_tokens += event.lookup_tokens
-
-
 @dataclass
 class EngineMetrics:
     """Aggregated simulation results."""
@@ -142,7 +97,7 @@ class EngineMetrics:
     steps: List[StepRecord] = field(default_factory=list)
     requests: List[RequestMetrics] = field(default_factory=list)
     prefix_hit_rate: float = 0.0
-    # Event-bus-derived tallies (see MetricsCollector).
+    # Counter tallies read at metrics() time (see LLMEngine.counters).
     preemptions: int = 0
     prefix_hit_tokens: int = 0
     prefix_lookup_tokens: int = 0

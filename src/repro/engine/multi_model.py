@@ -85,11 +85,8 @@ class MultiModelEngine:
             (default) keeps per-engine private buses.  A shared bus is how
             pool-level control loops (``PressureMonitor`` + ``PoolResizer``
             in the elastic benchmark) observe all tenants' admission and
-            step traffic in one place; the trade-off is that bus-derived
-            collector tallies (step lists, preemption counts) merge across
-            deployments, so per-deployment metrics should then come from
-            each engine's own finished-request list or from registry
-            counters, not from ``MetricsCollector``.
+            step traffic in one place.  Per-deployment metrics stay exact
+            either way: each engine keeps its own step list and counts.
     """
 
     def __init__(

@@ -152,13 +152,13 @@ class AdmissionGate:
     including a full prefix-cache lookup) on *every* step.  The verdict,
     however, is a pure function of the pool's page counts and the
     sequence's length: the manager's ``admission_version()`` is a monotone
-    counter over exactly the events that change those counts, so an
+    counter over exactly the state changes that move those counts, so an
     unchanged ``(request_id, seq_len, version)`` triple means an unchanged
     verdict and the probe can be skipped outright.
 
     The recorded version is taken *after* the failed probe's release, so
     the probe's own acquire/release churn (net-zero on pool counts, but
-    each transition publishes an event) does not immediately stale the
+    each transition bumps the version) does not immediately stale the
     memo.  A version of ``-1`` (manager without an admission cache)
     disables the gate.  Entries never need explicit expiry: versions are
     monotone, so a stale triple simply never matches again.

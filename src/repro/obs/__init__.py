@@ -8,15 +8,17 @@ The subsystem closes the ROADMAP's "engine-step profiling hooks" item:
   stamps the exclusive per-phase wall time onto
   :class:`~repro.engine.metrics.StepRecord`.
 * :mod:`repro.obs.registry` -- :class:`TelemetryRegistry` (counters,
-  gauges, fixed-bucket histograms, bounded timelines) fed from the
-  allocation-event bus by :class:`BusTelemetry`.
+  gauges, fixed-bucket histograms, bounded timelines) fed by
+  :class:`BusTelemetry`, which folds the owners' counters
+  (:meth:`~repro.engine.engine.LLMEngine.counters`) at every step and
+  the engine's lifecycle records from its bus.
 * :mod:`repro.obs.export` -- Chrome trace-event JSON (open it at
   https://ui.perfetto.dev) and plain-text/JSON summary reports, surfaced
   as ``repro.cli trace`` / ``repro.cli report`` and inside
   ``BENCH_alloc.json``'s per-phase breakdown.
-* :mod:`repro.obs.pressure` -- :class:`PressureMonitor`, the bus
-  subscriber folding admission blocks, eviction provenance, preemptions,
-  and the waste timeline into per-replica/per-group pressure gauges (the
+* :mod:`repro.obs.pressure` -- :class:`PressureMonitor`, folding
+  admission blocks, pool evictions (pulled from the allocator's
+  counters), preemptions, and the waste timeline into per-replica/per-group pressure gauges (the
   sensing half of the ROADMAP's ``PoolResizer``).
 * :mod:`repro.obs.cluster` -- cluster-scope views: the merged
   multi-replica Chrome trace (one pid lane pair per replica plus a

@@ -1,13 +1,15 @@
-"""Pool-pressure monitor: bus events -> per-replica pressure gauges.
+"""Pool-pressure monitor: bus records + pool counters -> pressure gauges.
 
 :class:`PressureMonitor` is the sensing half of the ROADMAP's elastic
-pool-repartitioning item: a single :class:`~repro.core.events.EventBus`
-subscriber that folds the pressure-bearing event stream -- admission
-blocks (:class:`~repro.core.events.AdmissionBlocked`), eviction
-provenance (:class:`~repro.core.events.PageEvicted`), preemptions, and
-the per-step waste/occupancy snapshot -- into gauges, counters, and
-sim-clock timelines a future ``PoolResizer`` (or a human reading
-``cluster-report``) can act on.
+pool-repartitioning item.  It folds the pressure-bearing signals --
+admission blocks (:class:`~repro.core.events.AdmissionBlocked`),
+preemptions (:class:`~repro.core.events.RequestPreempted`), pool
+evictions per victim group (pulled from the allocator's counters through
+the stepping engine's
+:meth:`~repro.engine.engine.LLMEngine.counters_by_owner`), and the
+per-step waste/occupancy snapshot -- into gauges, counters, and sim-clock
+timelines a ``PoolResizer`` (or a human reading ``cluster-report``) can
+act on.
 
 Per-step rates are folded as exponentially-weighted moving averages at
 every :class:`~repro.core.events.StepCompleted`, so the gauges answer
@@ -17,25 +19,27 @@ many evictions ever happened".  The composite ``pressure/score`` in
 non-reclaimable-occupancy terms: any one of them saturating means the
 pool is the bottleneck.
 
-Like :class:`~repro.obs.registry.BusTelemetry`, the monitor is just a
-subscriber: attaching it never touches engine code, and :meth:`close`
-detaches it so reused buses do not keep feeding a dead registry.
+Like :class:`~repro.obs.registry.BusTelemetry`, attaching the monitor
+never touches engine code; evictions are keyed per allocator, so engines
+sharing one pool on one bus never count it twice.  :meth:`close` folds
+the evictions counted after the last step and detaches, so reused buses
+do not keep feeding a dead registry.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Iterator, Optional, Tuple
 
 from ..core.events import (
     AdmissionBlocked,
     Event,
     EventBus,
-    PageEvicted,
     QuotaResized,
     RequestPreempted,
     StepCompleted,
 )
-from .registry import TelemetryRegistry
+from ..core.two_level import EVICT_GROUP_PREFIX
+from .registry import CounterDeltas, TelemetryRegistry
 
 __all__ = ["PressureMonitor"]
 
@@ -43,8 +47,9 @@ __all__ = ["PressureMonitor"]
 _EWMA_ALPHA = 0.2
 
 
+
 class PressureMonitor:
-    """Fold pressure-bearing bus events into registry gauges/timelines.
+    """Fold pressure signals into registry gauges/timelines.
 
     Subscribes on construction.  Counters (monotonic):
 
@@ -71,7 +76,6 @@ class PressureMonitor:
 
     _EVENT_TYPES = (
         AdmissionBlocked,
-        PageEvicted,
         QuotaResized,
         RequestPreempted,
         StepCompleted,
@@ -91,8 +95,8 @@ class PressureMonitor:
         # EWMA state per rate name (and per group id).
         self._rates: Dict[str, float] = {}
         self._group_rates: Dict[str, float] = {}
-        # Memoized counter/gauge key strings: PageEvicted fires per page,
-        # so the handler must not pay an f-string per event.
+        # Memoized counter/gauge key strings per group id, so a step pays
+        # no f-string per group.
         self._group_count_keys: Dict[str, str] = {}
         self._group_rate_keys: Dict[str, str] = {}
         self._group_quota_keys: Dict[str, str] = {}
@@ -101,11 +105,14 @@ class PressureMonitor:
         # next to the pressure/score track even though QuotaResized itself
         # carries no timestamp.
         self._time = 0.0
+        self._deltas = CounterDeltas()
         events.subscribe(self._on_event, self._EVENT_TYPES)
 
     def close(self) -> None:
-        """Unsubscribe from the bus (idempotent)."""
+        """Fold evictions counted since the last step, then unsubscribe
+        (idempotent)."""
         if not self._closed:
+            self._count_evictions(self._deltas.sample_all())
             self.events.unsubscribe(self._on_event)
             self._closed = True
 
@@ -136,17 +143,6 @@ class PressureMonitor:
             self._blocks += 1
             reg.inc("pressure/admission_blocked")
             reg.set_gauge("pressure/queue_depth", float(event.queue_depth))
-        elif isinstance(event, PageEvicted):
-            self._evictions += 1
-            gid = event.group_id
-            key = self._group_count_keys.get(gid)
-            if key is None:
-                key = self._group_count_keys[gid] = f"pressure/group/{gid}/evictions"
-                self._group_rate_keys[gid] = f"pressure/group/{gid}/eviction_rate"
-                self._group_rates[gid] = 0.0
-            reg.inc("pressure/evictions")
-            reg.inc(key)
-            self._group_window[gid] = self._group_window.get(gid, 0) + 1
         elif isinstance(event, RequestPreempted):
             self._preemptions += 1
             reg.inc("pressure/preemptions")
@@ -165,9 +161,28 @@ class PressureMonitor:
         elif isinstance(event, StepCompleted):
             self._on_step(event)
 
+    def _count_evictions(self, deltas: Iterator[Tuple[str, int]]) -> None:
+        """Fold the allocators' per-group eviction deltas (both levels)."""
+        reg = self.registry
+        for key, delta in deltas:
+            if not delta or not key.startswith(EVICT_GROUP_PREFIX):
+                continue
+            gid = key[len(EVICT_GROUP_PREFIX):]
+            count_key = self._group_count_keys.get(gid)
+            if count_key is None:
+                count_key = self._group_count_keys[gid] = f"pressure/group/{gid}/evictions"
+                self._group_rate_keys[gid] = f"pressure/group/{gid}/eviction_rate"
+                self._group_rates[gid] = 0.0
+            self._evictions += delta
+            reg.inc("pressure/evictions", delta)
+            reg.inc(count_key, delta)
+            self._group_window[gid] = self._group_window.get(gid, 0) + delta
+
     def _on_step(self, event: StepCompleted) -> None:
         reg = self.registry
         self._time = event.time
+        if event.engine is not None:
+            self._count_evictions(self._deltas.sample(event.engine))
         blocked = self._fold("blocked_rate", self._blocks)
         self._fold("eviction_rate", self._evictions)
         preempted = self._fold("preemption_rate", self._preemptions)

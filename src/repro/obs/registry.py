@@ -1,57 +1,58 @@
-"""Telemetry registry: counters, gauges, histograms, timelines -- bus-fed.
+"""Telemetry registry: counters, gauges, histograms, timelines.
 
 :class:`TelemetryRegistry` is a plain in-process metrics store; it knows
-nothing about the serving stack.  :class:`BusTelemetry` is the adapter: a
-single :class:`~repro.core.events.EventBus` subscriber that turns the
-structured allocation events the stack already emits into registry
-instruments:
+nothing about the serving stack.  :class:`BusTelemetry` is the adapter.
+Counts live with their owners (allocator, manager view, engine); at every
+:class:`~repro.core.events.StepCompleted` on its bus the adapter pulls
+the stepping engine's :meth:`~repro.engine.engine.LLMEngine.counters_by_owner`
+and folds each owner's change since its previous sample:
 
 * the Section 5.4 five-step decision histogram (``alloc/step/<n>``
-  counters keyed by :data:`~repro.core.events.ALLOCATION_STEPS`),
+  counters keyed by :data:`~repro.core.two_level.ALLOCATION_STEPS`),
+  carves, and cached/freed releases,
 * eviction provenance -- small vs. large level, and balanced
   (recency-keyed) vs. aligned (prefix-length tie-break) priority
   (Section 5.1),
-* preemption reasons (``victim`` vs. ``self``), request lifecycle tallies,
-  prefix-cache token counters, host-offload spill volume,
+* preemption reasons (``victim`` vs. ``self``), prefix-cache token
+  counters, host-offload spill volume.
+
+From the bus records themselves it adds:
+
+* request lifecycle tallies and the engine step count,
 * routing decisions (``routing/policy/<name>``, ``routing/replica/<id>``,
   expected hit tokens) when attached to a serving replica's bus,
+* quota moves published by a :class:`~repro.core.resizer.PoolResizer`,
 * the memory / waste / fragmentation timeline sampled from each step's
   :class:`~repro.engine.metrics.MemorySnapshot` (the Figure 16 axes), on
   the *simulated* clock,
 * per-phase wall-time histograms from ``StepRecord.phases`` when the
   engine ran with a tracer attached.
 
-Because it is just another subscriber, attaching telemetry never touches
-engine code; detach with :meth:`BusTelemetry.close` so reused buses do not
-accumulate dead handlers.
+Attaching telemetry never touches engine code; :meth:`BusTelemetry.close`
+takes a final sample and detaches, so reused buses do not accumulate dead
+handlers.
 """
 
 from __future__ import annotations
 
 from math import ceil, inf
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.events import (
     Event,
     EventBus,
-    LargePageCarved,
-    PageAllocated,
-    PageEvicted,
-    PageEvictedToHost,
-    PageReleased,
-    PagesAllocated,
-    PrefixHit,
     QuotaResized,
     RequestAdmitted,
     RequestFailed,
     RequestFinished,
-    RequestPreempted,
     RequestQueued,
     RequestRouted,
     StepCompleted,
 )
+from ..core.two_level import EVICT_GROUP_PREFIX
 
 __all__ = [
+    "CounterDeltas",
     "Histogram",
     "TelemetryRegistry",
     "BusTelemetry",
@@ -252,34 +253,57 @@ class TelemetryRegistry:
         }
 
 
-#: Precomputed §5.4 counter keys so the per-allocation handler does no
-#: string formatting (steps 0-5; 0 is the request-aware-ablation path).
-_STEP_KEYS: Dict[int, str] = {n: f"alloc/step/{n}" for n in range(6)}
-
 #: Memory-snapshot fields mirrored onto gauges and the sim-clock timeline.
 _MEM_FIELDS = ("used", "evictable", "waste", "free")
 
 
+class CounterDeltas:
+    """Owners' cumulative counters turned into per-sample deltas.
+
+    Remembers, per owner, the counts it last read; :meth:`sample` yields
+    each key whose count the owner reports with its change since then.
+    Keys are per *owner* (allocator, manager view, engine), never per
+    engine: engines over one shared pool name the same allocator, so its
+    counts are folded once however many of them step.  An owner seen for
+    the first time contributes everything since its construction.
+    """
+
+    __slots__ = ("_last", "_engines")
+
+    def __init__(self) -> None:
+        self._last: Dict[Any, Dict[str, int]] = {}
+        self._engines: Dict[Any, None] = {}
+
+    def sample(self, engine: Any) -> Iterator[Tuple[str, int]]:
+        """``(key, delta)`` for every count ``engine``'s owners report."""
+        self._engines[engine] = None
+        last = self._last
+        for owner, counts in engine.counters_by_owner():
+            before = last.get(owner, {})
+            last[owner] = counts
+            for key, value in counts.items():
+                yield key, value - before.get(key, 0)
+
+    def sample_all(self) -> Iterator[Tuple[str, int]]:
+        """Sample every engine seen so far (a closing read)."""
+        for engine in list(self._engines):
+            yield from self.sample(engine)
+
+
 class BusTelemetry:
-    """The one bus subscriber feeding a :class:`TelemetryRegistry`.
+    """Feeds a :class:`TelemetryRegistry` from one bus and the counters
+    of the engines stepping on it.
 
     Subscribes on construction; call :meth:`close` when the run is over
-    (engines reusing a shared bus would otherwise keep feeding a registry
-    nobody reads -- the same leak :class:`MetricsCollector.close` fixes).
+    -- it folds whatever the owners counted after the last step, and
+    unsubscribes so engines reusing a shared bus do not keep feeding a
+    registry nobody reads.
     """
 
     _EVENT_TYPES = (
-        PageAllocated,
-        PagesAllocated,
-        LargePageCarved,
-        PageEvicted,
-        PageEvictedToHost,
-        PageReleased,
-        PrefixHit,
         QuotaResized,
         RequestQueued,
         RequestAdmitted,
-        RequestPreempted,
         RequestFinished,
         RequestFailed,
         RequestRouted,
@@ -292,49 +316,33 @@ class BusTelemetry:
         self.events = events
         self.registry = registry if registry is not None else TelemetryRegistry()
         self._closed = False
+        self._deltas = CounterDeltas()
         events.subscribe(self._on_event, self._EVENT_TYPES)
 
     def close(self) -> None:
-        """Unsubscribe from the bus (idempotent)."""
+        """Take a final counter sample and unsubscribe (idempotent)."""
         if not self._closed:
+            self._fold(self._deltas.sample_all())
             self.events.unsubscribe(self._on_event)
             self._closed = True
 
     # ------------------------------------------------------------------
 
+    def _fold(self, deltas: Iterator[Tuple[str, int]]) -> None:
+        counters = self.registry.counters
+        for key, delta in deltas:
+            # A key the owner reports exists in the registry even at zero
+            # (a prefix lookup that hit nothing still reports hit_tokens).
+            # Per-group eviction counts feed PressureMonitor instead.
+            if (delta or key not in counters) and not key.startswith(
+                EVICT_GROUP_PREFIX
+            ):
+                counters[key] = counters.get(key, 0) + delta
+
     def _on_event(self, event: Event) -> None:
         reg = self.registry
-        if isinstance(event, PageAllocated):
-            reg.inc("alloc/pages")
-            reg.inc(_STEP_KEYS.get(event.step, f"alloc/step/{event.step}"))
-        elif isinstance(event, PagesAllocated):
-            # The batched form carries len(page_ids) pool mutations in one
-            # record; fold each page's §5.4 step into the same counters so
-            # alloc/pages agrees whichever emit path the allocator took.
-            reg.inc("alloc/pages", event.num_pages)
-            for step in event.steps:
-                reg.inc(_STEP_KEYS.get(step, f"alloc/step/{step}"))
-        elif isinstance(event, PageReleased):
-            reg.inc("release/cached" if event.cached else "release/freed")
-        elif isinstance(event, PageEvicted):
-            reg.inc(f"evict/{event.level}")
-            # §5.1 provenance: a zero prefix length means plain recency
-            # ("balanced") eviction; a non-zero one means the prefix-depth
-            # tie-break ("aligned") participated in victim choice.
-            reg.inc(
-                "evict/priority/aligned"
-                if event.prefix_length
-                else "evict/priority/balanced"
-            )
-        elif isinstance(event, LargePageCarved):
-            reg.inc("alloc/large_carved")
-        elif isinstance(event, PageEvictedToHost):
-            reg.inc("offload/spills")
-            reg.inc("offload/spill_bytes", event.page_bytes)
-        elif isinstance(event, PrefixHit):
-            reg.inc("prefix/lookups")
-            reg.inc("prefix/hit_tokens", event.hit_tokens)
-            reg.inc("prefix/lookup_tokens", event.lookup_tokens)
+        if isinstance(event, StepCompleted):
+            self._on_step(event)
         elif isinstance(event, QuotaResized):
             # One event per resize decision (control plane, not per page),
             # so the f-string group key is off the per-page hot path.
@@ -349,8 +357,6 @@ class BusTelemetry:
             reg.inc("requests/queued")
         elif isinstance(event, RequestAdmitted):
             reg.inc("requests/admitted")
-        elif isinstance(event, RequestPreempted):
-            reg.inc(f"preempt/{event.reason}")
         elif isinstance(event, RequestFinished):
             reg.inc("requests/finished")
         elif isinstance(event, RequestFailed):
@@ -362,12 +368,12 @@ class BusTelemetry:
             reg.inc(f"routing/policy/{event.policy}")
             reg.inc(f"routing/replica/{event.replica_id}")
             reg.inc("routing/expected_hit_tokens", event.expected_hit_tokens)
-        elif isinstance(event, StepCompleted):
-            self._on_step(event)
 
     def _on_step(self, event: StepCompleted) -> None:
         reg = self.registry
         reg.inc("engine/steps")
+        if event.engine is not None:
+            self._fold(self._deltas.sample(event.engine))
         record = event.record
         if record is None:
             return

@@ -5,9 +5,9 @@ deterministic simulator out to a cluster (ROADMAP's top open item, the
 rtp-llm ``flexlb`` pattern):
 
 * :class:`~repro.serving.replica.Replica` -- one engine + manager + its
-  own per-replica event bus (the shared-allocator fan-out fix in
-  :class:`~repro.core.events.EventFanout` keeps per-engine metrics exact
-  even for co-tenant replicas over one pool);
+  own per-replica event bus for lifecycle and routing records (counts
+  are pulled from their owners, so co-tenant replicas over one pool
+  never double-count it);
 * :class:`~repro.serving.router.Router` -- pluggable policies:
   ``round_robin``, ``least_loaded`` (free-pool pressure from
   ``stats()``), and ``cache_aware`` (a router-side shadow of each

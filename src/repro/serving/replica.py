@@ -2,12 +2,13 @@
 
 A :class:`Replica` is the unit the router balances over -- a full
 :class:`~repro.engine.engine.LLMEngine` over its own KV-cache manager,
-publishing onto its *own* :class:`~repro.core.events.EventBus` so
-per-replica metrics (prefix hits, preemptions, steps) stay exact even when
-managers share an allocator (the :class:`~repro.core.events.EventFanout`
-topology).  Each replica models one GPU, so replica clocks advance
-independently; :class:`~repro.serving.cluster.ServingCluster` owns the
-cross-replica event ordering.
+publishing lifecycle and routing records onto its *own*
+:class:`~repro.core.events.EventBus`.  Per-replica counts (prefix hits,
+preemptions, pool evictions) are pulled from their owners, so they stay
+exact even when managers share an allocator.  Each replica models one
+GPU, so replica clocks advance independently;
+:class:`~repro.serving.cluster.ServingCluster` owns the cross-replica
+event ordering.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..baselines import make_manager
-from ..core.events import Event, EventBus, RequestRouted
+from ..core.events import EventBus
 from ..core.resizer import PoolResizer
 from ..engine.engine import LLMEngine
 from ..engine.metrics import EngineMetrics
@@ -69,9 +70,7 @@ class Replica:
         manager: Pre-built manager, overriding ``system``/``kv_bytes``
             construction -- how shared-allocator co-tenant replicas are
             assembled (build views via ``build_shared_managers`` first).
-        events: Per-replica bus; a capture-free private bus is created
-            when omitted (ring capture off: the cluster runs millions of
-            events and metrics flow through subscribers, not the ring).
+        events: Per-replica bus; a private bus is created when omitted.
         tracer: Per-replica span tracer handed to the engine.  ``None``
             keeps the zero-overhead :data:`~repro.obs.tracer.NULL_TRACER`
             default -- tracing must be opted into per replica.
@@ -127,9 +126,9 @@ class Replica:
         self.manager = manager
         self.events = events if events is not None else EventBus()
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        # Monitors subscribe *before* the engine so they observe every
-        # event the engine's own collector sees; they share one registry
-        # so cluster reports read a single per-replica snapshot.
+        # Monitors subscribe *before* the engine is built so they see
+        # every record it publishes; they share one registry so cluster
+        # reports read a single per-replica snapshot.
         self.registry: Optional[TelemetryRegistry] = registry
         if (telemetry or pressure) and self.registry is None:
             self.registry = TelemetryRegistry()
@@ -153,13 +152,6 @@ class Replica:
                 manager.allocator, self.pressure, self.events,
                 policy=resizing, interval=resize_interval,
             )
-        # The replica is its own consumer of routing decisions: the
-        # router emits RequestRouted on the chosen replica's bus, and
-        # these counters keep per-replica routing telemetry exact even
-        # when the router object is long gone (summaries, rebalancing).
-        self.num_routed = 0
-        self.expected_hit_tokens = 0
-        self.events.subscribe(self._on_routed, [RequestRouted])
 
     # ------------------------------------------------------------------
 
@@ -199,25 +191,18 @@ class Replica:
     def metrics(self) -> EngineMetrics:
         return self.engine.metrics()
 
-    def _on_routed(self, event: Event) -> None:
-        if isinstance(event, RequestRouted):
-            self.num_routed += 1
-            self.expected_hit_tokens += event.expected_hit_tokens
-
     def close(self) -> None:
         """Detach every subscriber this replica attached (idempotent).
 
-        Reused buses must not keep feeding a dead registry -- the leak
-        class ``MetricsCollector.close`` fixed at the engine layer.
+        Reused buses must not keep feeding a dead registry; the monitors
+        take their final counter sample on the way out.
         """
-        self.events.unsubscribe(self._on_routed)
         if self.resizer is not None:
             self.resizer.close()
         if self.telemetry is not None:
             self.telemetry.close()
         if self.pressure is not None:
             self.pressure.close()
-        self.engine.close()
 
     def __repr__(self) -> str:
         return f"Replica({self.replica_id!r}, clock={self.engine.clock:.1f})"

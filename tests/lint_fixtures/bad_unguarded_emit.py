@@ -1,15 +1,15 @@
 """Fixture: event constructed without a subscriber guard (rule unguarded-emit)."""
 
 
-class PageEvicted:
-    def __init__(self, group_id, page_id):
-        self.group_id = group_id
-        self.page_id = page_id
+class RequestPreempted:
+    def __init__(self, request_id, time):
+        self.request_id = request_id
+        self.time = time
 
 
-class Allocator:
+class Engine:
     def __init__(self, events):
         self.events = events
 
-    def evict(self, group_id, page_id):
-        self.events.emit(PageEvicted(group_id, page_id))
+    def preempt(self, request_id, now):
+        self.events.emit(RequestPreempted(request_id, now))

@@ -8,18 +8,10 @@ membership, and a fixed attribute layout.
 """
 
 
-class PageEvicted:
-    def __init__(self, group_id, page_id):
-        self.group_id = group_id
-        self.page_id = page_id
-
-
-class PagesAllocated:
-    def __init__(self, group_id, request_id, page_ids, steps):
-        self.group_id = group_id
+class RequestPreempted:
+    def __init__(self, request_id, time):
         self.request_id = request_id
-        self.page_ids = page_ids
-        self.steps = steps
+        self.time = time
 
 
 class Meter:
@@ -44,32 +36,17 @@ class GroupAllocator:
     def contains(self, item):
         return item in self._priority
 
-    def evict(self, group_id, page_id):
-        if self.events is not None and self.events.has_subscribers(PageEvicted):
-            self.events.emit(PageEvicted(group_id, page_id))
+    def preempt(self, request_id, now):
+        if self.events is not None and self.events.has_subscribers(RequestPreempted):
+            self.events.emit(RequestPreempted(request_id, now))
         if self.tracer is not None and self.tracer.enabled:
-            self.tracer.instant("evict", args={"group": group_id})
+            self.tracer.instant("preempt", args={"request": request_id})
         # Span-method *names* on a non-tracer receiver are not spans.
-        self.meter.counter("evictions", 1)
+        self.meter.counter("preemptions", 1)
 
     def forward(self, event):
         # Pre-built event objects carry no construction cost here.
         self.events.emit(event)
-
-    def allocate_batch(self, group_id, request_id, pages):
-        taken = []
-        for page in pages:
-            taken.append(page)
-        # One batched record after the loop, not one per page.
-        if self.events is not None and self.events.has_subscribers(PagesAllocated):
-            self.events.emit(PagesAllocated(group_id, request_id, tuple(taken), ()))
-        return taken
-
-    def replay(self, backlog):
-        for event in backlog:
-            # Forwarding pre-built events in a loop constructs nothing
-            # per item; only per-item *construction* is a rehash smell.
-            self.events.emit(event)
 
     def hashes_for(self, seq, tags, schedule, stream, boundaries):
         # The memoized incremental chain is the sanctioned hot-path hash;

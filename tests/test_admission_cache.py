@@ -9,8 +9,8 @@ down:
 
 * the version contract -- every pool state change (allocation, release,
   prefix-hit reactivation, eviction, cache-index displacement, a quota
-  change) bumps the version, and nothing else does, bus traffic included;
-  every pool record is delivered only after its version bump;
+  change) bumps the version and, in the same call, the allocator counter
+  that reports it; nothing else moves the version, bus traffic included;
 * the hypothesis property that an unchanged version means unchanged
   ``can_admit_uncached`` verdicts under randomized churn, on a private
   allocator and on two views of a shared one;
@@ -29,13 +29,6 @@ from hypothesis import strategies as st
 
 from repro.core.events import (
     EventBus,
-    LargePageCarved,
-    PageAllocated,
-    PageEvicted,
-    PageEvictedToHost,
-    PageReleased,
-    PagesAllocated,
-    PrefixHit,
     QuotaResized,
     RequestAdmitted,
     RequestQueued,
@@ -53,12 +46,6 @@ from repro.serving import Replica
 from repro.workloads import token_block
 
 T = frozenset({TEXT})
-
-POOL_EVENTS = (
-    PageAllocated, PagesAllocated, LargePageCarved, PageEvicted, PageReleased,
-    QuotaResized,
-)
-
 
 def hetero_specs(tpp=4, window=8):
     return {
@@ -131,38 +118,46 @@ def _allocate_one(mgr, holder, ctx):
     assert mgr.allocator.allocate_page("full", "x") is not None
 
 
-#: (id, prepare(mgr, holder) -> ctx, act(mgr, holder, ctx), published
-#: records) -- each act is one pool state change; the records are the
-#: ones it publishes (prefix-hit reactivation publishes none).
+#: Counter deltas of a single-page allocation by §5.4 step.
+_CARVE = {"alloc/pages": 1, "alloc/step/2": 1, "alloc/large_carved": 1}
+_EVICT = {"evict/priority/aligned": 1, "evict/group/full": 1}
+
+#: (id, prepare(mgr, holder) -> ctx, act(mgr, holder, ctx), counter
+#: deltas) -- each act is one pool state change; the deltas are the
+#: allocator counters it moves (prefix-hit reactivation and a quota
+#: change move none: they are not counted events).
 POOL_MUTATIONS = [
-    ("allocate_page", None, _allocate_one,
-     ["LargePageCarved", "PageAllocated"]),
+    ("allocate_page", None, _allocate_one, _CARVE),
     ("allocate_pages", None,
      lambda m, h, c: m.allocator.allocate_pages("full", "x", 2),
-     ["LargePageCarved", "LargePageCarved", "PagesAllocated"]),
+     {k: 2 * v for k, v in _CARVE.items()}),
     ("release_to_cache", None,
-     lambda m, h, c: m.release(h, cacheable=True), ["PageReleased"] * 4),
+     lambda m, h, c: m.release(h, cacheable=True), {"release/cached": 4}),
     ("release_to_free", None,
-     lambda m, h, c: m.release(h, cacheable=False), ["PageReleased"] * 4),
+     lambda m, h, c: m.release(h, cacheable=False), {"release/freed": 4}),
     ("acquire_cached", None,
      lambda m, h, c: m.allocator.acquire_cached(
          "full", pages_in(m, "EVICTABLE")[0].block_hash, "x"),
-     []),
+     {}),
     ("large_eviction", _fill_free, _allocate_one,
-     ["PageEvicted:large", "LargePageCarved", "PageAllocated"]),
+     {"alloc/pages": 1, "alloc/step/3": 1, "alloc/large_carved": 1,
+      "evict/large": 1, **_EVICT}),
     ("small_eviction", _set_quota_to_owned, _allocate_one,
-     ["PageEvicted:small", "PageAllocated"]),
+     {"alloc/pages": 1, "alloc/step/5": 1, "evict/small": 1, **_EVICT}),
     ("cache_index_displacement",
      lambda m, h: m.allocator.allocate_page("full", "x"), _displace,
-     ["PageReleased"]),
+     {"release/freed": 1}),
     ("quota_change", None,
-     lambda m, h, c: m.allocator.set_quota("full", 10), ["QuotaResized"]),
+     lambda m, h, c: m.allocator.set_quota("full", 10), {}),
 ]
 
 
-def _shape(event):
-    name = type(event).__name__
-    return f"{name}:{event.level}" if isinstance(event, PageEvicted) else name
+def _delta(before, after):
+    return {
+        key: after.get(key, 0) - before.get(key, 0)
+        for key in set(before) | set(after)
+        if after.get(key, 0) != before.get(key, 0)
+    }
 
 
 def _fill_all(mgr, holder):
@@ -185,25 +180,27 @@ def _touch(mgr, holder):
     mgr.allocator.touch_evictable("full", page)
 
 
-def _publishers(event_cls):
-    """The POOL_MUTATIONS entries whose act publishes ``event_cls``."""
-    name = event_cls.__name__
-    return [m for m in POOL_MUTATIONS
-            if any(shape.split(":")[0] == name for shape in m[3])]
+#: The pool changes once published as per-page records, keyed by that
+#: record's name, each with the allocator counters that now report it.
+COUNTED_CHANGES = {
+    "LargePageCarved": ("allocate_page", ["alloc/large_carved"]),
+    "PageAllocated": ("allocate_page", ["alloc/pages"]),
+    "PagesAllocated": ("allocate_pages", ["alloc/pages"]),
+    "PageEvicted": ("large_eviction", ["evict/large"]),
+    "PageReleased": ("release_to_cache", ["release/cached"]),
+}
 
 
 def _emit_pool_records(mgr, holder):
-    # Hand-emitted pool records are just bus traffic: no state moved.
+    # Hand-emitted records are just bus traffic: no state moved.
+    bus = EventBus()
     for event in (
-        PageReleased("full", 1, True), PageAllocated("full", "r", 1, 1),
-        QuotaResized("full", 8, 4, 6, 2),
+        QuotaResized("full", 8, 4, 6, 2), StepCompleted(0, 0.0, 0),
     ):
-        mgr.events.emit(event)
+        bus.emit(event)
 
 
 NON_POOL_EVENTS = [
-    PrefixHit("r", 0, 4),
-    PageEvictedToHost("full", 123, 256),
     RequestQueued("r", 0.0),
     RequestAdmitted("r", 0.0),
     StepCompleted(0, 0.0, 0),
@@ -227,6 +224,15 @@ NON_MUTATIONS = [
 ]
 
 
+class _QuietMonitor:
+    """A PressureSource that never asks for a move beyond the partition."""
+
+    score = 0.0
+
+    def group_eviction_rates(self):
+        return {}
+
+
 class TestInvalidation:
     @pytest.mark.parametrize(
         "prepare,act,expected", [m[1:] for m in POOL_MUTATIONS],
@@ -235,12 +241,11 @@ class TestInvalidation:
     def test_pool_mutation_bumps_version(self, prepare, act, expected):
         mgr, holder = staged_pool()
         ctx = prepare(mgr, holder) if prepare is not None else None
-        seen = []
-        mgr.events.subscribe(seen.append, POOL_EVENTS)
+        before = mgr.allocator.counters()
         version = mgr.admission_version()
         act(mgr, holder, ctx)
         assert mgr.admission_version() > version
-        assert sorted(map(_shape, seen)) == sorted(expected)
+        assert _delta(before, mgr.allocator.counters()) == expected
         mgr.allocator.check_invariants()
 
     @pytest.mark.parametrize(
@@ -255,23 +260,37 @@ class TestInvalidation:
         act(mgr, holder)
         assert mgr.admission_version() == version
 
-    @pytest.mark.parametrize("event_cls", POOL_EVENTS, ids=lambda c: c.__name__)
-    def test_invalidating_event_dirties_snapshot(self, event_cls):
-        """Every pool record reaches its subscribers only after the version
-        moved, so a consumer that re-probes admission on delivery never
-        sees the pre-change pool side."""
-        publishers = _publishers(event_cls)
-        assert publishers
-        for _, prepare, act, _ in publishers:
-            mgr, holder = staged_pool()
-            ctx = prepare(mgr, holder) if prepare is not None else None
-            version = mgr.admission_version()
+    @pytest.mark.parametrize(
+        "change", [*COUNTED_CHANGES, "QuotaResized"]
+    )
+    def test_invalidating_event_dirties_snapshot(self, change):
+        """A consumer that reads the pool on a step boundary sees each
+        change's counter and the version move together -- never the
+        count without the version bump, or the reverse.  Quota moves are
+        still records (published by the resizer), and each reaches its
+        subscribers only after the version moved."""
+        if change == "QuotaResized":
+            from repro.core.resizer import PoolResizer
+
+            mgr, _ = staged_pool()
+            bus = EventBus()
             seen = []
-            mgr.events.subscribe(
-                lambda e: seen.append(mgr.admission_version()), (event_cls,)
-            )
-            act(mgr, holder, ctx)
+            bus.subscribe(lambda e: seen.append(mgr.admission_version()),
+                          (QuotaResized,))
+            version = mgr.admission_version()
+            PoolResizer(mgr.allocator, _QuietMonitor(), bus, policy="static")
             assert seen and min(seen) > version
+            return
+        name, keys = COUNTED_CHANGES[change]
+        _, prepare, act, _ = next(m for m in POOL_MUTATIONS if m[0] == name)
+        mgr, holder = staged_pool()
+        ctx = prepare(mgr, holder) if prepare is not None else None
+        before = mgr.allocator.counters()
+        version = mgr.admission_version()
+        act(mgr, holder, ctx)
+        moved = _delta(before, mgr.allocator.counters())
+        assert all(moved.get(key, 0) > 0 for key in keys)
+        assert mgr.admission_version() > version
 
     @pytest.mark.parametrize(
         "event", NON_POOL_EVENTS, ids=lambda e: type(e).__name__
@@ -280,19 +299,9 @@ class TestInvalidation:
         mgr, _ = staged_pool()
         version = mgr.admission_version()
         verdict = mgr.can_admit(PROBE)
-        mgr.events.emit(event)
+        EventBus().emit(event)
         assert mgr.admission_version() == version
         assert mgr.can_admit(PROBE) == verdict
-
-    def test_bind_events_keeps_version_source(self):
-        """Rebinding the bus neither moves the version nor detaches it:
-        the allocator owns the counter, so there is nothing to re-home."""
-        mgr = make_manager()
-        version = mgr.admission_version()
-        mgr.bind_events(EventBus())
-        assert mgr.admission_version() == version
-        assert mgr.allocator.allocate_page("full", "r") is not None
-        assert mgr.admission_version() > version
 
     def test_real_allocation_invalidates_through_the_allocator(self):
         mgr = make_manager()
@@ -561,13 +570,13 @@ class TestPoolVersion:
         assert a.admission_version() == b.admission_version()
 
     def test_untelemetered_buses_carry_no_page_subscribers(self):
-        """Admission subscribes to nothing, so a bus nobody observes
-        leaves every page-event emission unconstructed."""
+        """Admission and the engine's own tallies subscribe to nothing, so
+        a bus nobody observes leaves every record unconstructed."""
         model = get_model("llama3.2-1b")
         engine = LLMEngine(model, H100, JengaKVCacheManager(model.kv_groups(), 1 << 28))
-        assert engine.events.has_subscribers(PageReleased) is False
+        assert engine.events.has_subscribers(StepCompleted) is False
         replica = Replica("r0", model, H100, kv_bytes=1 << 28)
-        assert replica.events.has_subscribers(PageReleased) is False
+        assert replica.events.has_subscribers(StepCompleted) is False
 
 
 class TestAdmissionGate:

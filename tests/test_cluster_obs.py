@@ -3,7 +3,7 @@
 import json
 
 from repro.cli import main
-from repro.core.events import AdmissionBlocked, PageEvicted, RequestRouted
+from repro.core.events import AdmissionBlocked, RequestRouted, StepCompleted
 from repro.core.math_utils import percentile
 from repro.engine.request import Request
 from repro.engine.scheduler import profile_config
@@ -209,16 +209,16 @@ class TestClusterTeardown:
     def test_close_detaches_monitors_idempotently(self):
         cluster = traced_cluster()
         replica = cluster.replicas[0]
+        cluster.close()  # takes the monitors' final counter sample
         before = dict(replica.registry.counters)
-        cluster.close()
         cluster.close()  # idempotent
         # A reused bus must not feed the dead registry anymore.
         replica.events.emit(
             RequestRouted("ghost", replica.replica_id, "cache_aware", 0)
         )
-        # A pool record on the reused bus reaches no observer anymore:
-        # the registry stays frozen.
-        replica.events.emit(PageEvicted("full", 1, "small"))
+        # A step record naming the engine reaches no observer anymore, so
+        # its owners' counters are not sampled: the registry stays frozen.
+        replica.events.emit(StepCompleted(0, 0.0, 0, engine=replica.engine))
         assert replica.registry.counters == before
         assert not replica.events.has_subscribers(RequestRouted)
         assert not replica.events.has_subscribers(AdmissionBlocked)

@@ -1,20 +1,15 @@
-"""Tests for the structured allocation-event bus (EventBus + §5.4 traces)."""
+"""Tests for the engine's record bus and the owner counters (§5.4 traces)."""
 
 from repro.core.events import (
-    ALLOCATION_STEPS,
     EventBus,
-    LargePageCarved,
-    PageAllocated,
-    PagesAllocated,
-    PageEvicted,
-    PageReleased,
-    PrefixHit,
     RequestAdmitted,
     RequestFinished,
+    RequestPreempted,
     RequestQueued,
     StepCompleted,
 )
 from repro.core.kv_manager import JengaKVCacheManager
+from repro.core.two_level import ALLOCATION_STEPS
 from repro.core.layer_policy import FULL_ATTENTION, GroupSpec
 from repro.core.sequence import IMAGE, TEXT, SequenceSpec
 from repro.engine import LLMEngine, Request, SchedulerConfig
@@ -33,26 +28,26 @@ class TestEventBus:
         bus.subscribe(seen.append)
         bus.emit(RequestQueued("r1", 0.0))
         bus.emit(RequestQueued("r2", 1.0))
-        bus.emit(PrefixHit("r1", 4, 8))
+        bus.emit(RequestPreempted("r1", 4.0))
         assert [type(e).__name__ for e in seen] == [
-            "RequestQueued", "RequestQueued", "PrefixHit"
+            "RequestQueued", "RequestQueued", "RequestPreempted"
         ]
         assert [e.request_id for e in seen] == ["r1", "r2", "r1"]
 
     def test_subscriber_type_filter(self):
         bus = EventBus()
         seen = []
-        bus.subscribe(seen.append, [PrefixHit])
+        bus.subscribe(seen.append, [RequestPreempted])
         bus.emit(RequestQueued("r1", 0.0))
-        bus.emit(PrefixHit("r1", 2, 4))
-        assert seen == [PrefixHit("r1", 2, 4)]
+        bus.emit(RequestPreempted("r1", 2.0))
+        assert seen == [RequestPreempted("r1", 2.0)]
 
     def test_unfiltered_subscriber_sees_everything(self):
         bus = EventBus()
         seen = []
         bus.subscribe(seen.append)
         bus.emit(RequestQueued("r1", 0.0))
-        bus.emit(PrefixHit("r1", 2, 4))
+        bus.emit(RequestPreempted("r1", 2.0))
         assert len(seen) == 2
 
     def test_unsubscribe(self):
@@ -68,31 +63,31 @@ class TestEventBus:
         # The bus keeps nothing itself, so with nobody subscribed the emit
         # guards skip constructing events altogether.
         bus = EventBus()
-        assert not bus.has_subscribers(PrefixHit)
+        assert not bus.has_subscribers(RequestPreempted)
         assert not bus.has_subscribers(RequestQueued)
 
     def test_has_subscribers_pure_dispatch_tracks_interest(self):
         bus = EventBus()
-        assert not bus.has_subscribers(PrefixHit)
+        assert not bus.has_subscribers(RequestPreempted)
         seen = []
-        handler = bus.subscribe(seen.append, [PrefixHit])
-        assert bus.has_subscribers(PrefixHit)
+        handler = bus.subscribe(seen.append, [RequestPreempted])
+        assert bus.has_subscribers(RequestPreempted)
         assert not bus.has_subscribers(RequestQueued)
         bus.unsubscribe(handler)
-        assert not bus.has_subscribers(PrefixHit)
+        assert not bus.has_subscribers(RequestPreempted)
 
     def test_has_subscribers_unfiltered_subscriber_matches_all(self):
         bus = EventBus()
         bus.subscribe(lambda e: None)
-        assert bus.has_subscribers(PrefixHit)
+        assert bus.has_subscribers(RequestPreempted)
         assert bus.has_subscribers(StepCompleted)
 
     def test_interest_cache_invalidated_by_late_subscribe(self):
         bus = EventBus()
-        assert not bus.has_subscribers(PrefixHit)  # caches the negative
+        assert not bus.has_subscribers(RequestPreempted)  # caches the negative
         seen = []
-        bus.subscribe(seen.append, [PrefixHit])
-        assert bus.has_subscribers(PrefixHit)  # cache was cleared
+        bus.subscribe(seen.append, [RequestPreempted])
+        assert bus.has_subscribers(RequestPreempted)  # cache was cleared
 
     def test_pure_dispatch_bus_skips_ring(self):
         bus = EventBus()
@@ -107,8 +102,7 @@ class TestEventBus:
         # 1-5 are the paper's five steps; 0 tags the request-aware
         # ablation's first-fit path.
         assert set(ALLOCATION_STEPS) == {0, 1, 2, 3, 4, 5}
-        assert PageAllocated("g", "r", 0, 3).step_name == ALLOCATION_STEPS[3]
-        assert "step 9" in PageAllocated("g", "r", 0, 9).step_name
+        assert ALLOCATION_STEPS[3] == "evict large page"
 
 
 def five_step_manager():
@@ -132,6 +126,15 @@ def prefill(mgr, seq, now):
     mgr.commit(seq, len(seq), now=now, phase="prefill")
 
 
+def delta(before, after):
+    """Counter keys that moved between two ``counters()`` reads."""
+    return {
+        key: after.get(key, 0) - before.get(key, 0)
+        for key in set(before) | set(after)
+        if after.get(key, 0) != before.get(key, 0)
+    }
+
+
 class TestFiveStepTrace:
     """Drive one request through every §5.4 allocation step, in order.
 
@@ -142,13 +145,12 @@ class TestFiveStepTrace:
     growing request A one page at a time exercises them as
     [1, 2, 1, 3, 1, 4, 5]: every odd growth first drains the second slot
     of A's own most recent large page (step 1), and the fallbacks fire in
-    §5.4 order as the staged resources run out.
+    §5.4 order as the staged resources run out.  Each growth is read as
+    the delta of the allocator's cumulative counters.
     """
 
-    def stage(self, record=None):
+    def stage(self):
         mgr = five_step_manager()
-        if record is not None:
-            mgr.events.subscribe(record.append)
 
         # C carves large page #1; its second slot stays EMPTY and
         # C-associated (step-4 fodder: empty but not A's).
@@ -184,64 +186,70 @@ class TestFiveStepTrace:
 
     def test_allocation_steps_fire_in_paper_order(self):
         mgr, a = self.stage()
-        trace = []
-        mgr.events.subscribe(
-            trace.append, [PagesAllocated, PageEvicted, LargePageCarved]
-        )
-
+        pool = mgr.allocator
+        deltas = []
         for _ in range(7):  # grow A one "full" page per call
+            before = pool.counters()
             a.extend(range(len(a), len(a) + 4))
             assert mgr.allocate_up_to(a, len(a))
+            deltas.append(delta(before, pool.counters()))
 
-        # allocate_up_to batches: one PagesAllocated per call, whose steps
-        # record the §5.4 step satisfying each page of the batch.
-        allocs = [ev for ev in trace if isinstance(ev, PagesAllocated)]
-        steps = [step for ev in allocs for step in ev.steps]
+        # One page per call, counted under the §5.4 step that satisfied it.
+        steps = [
+            int(key.rsplit("/", 1)[1])
+            for d in deltas for key in d if key.startswith("alloc/step/")
+        ]
         assert steps == [1, 2, 1, 3, 1, 4, 5]
-        assert all(ev.request_id == "A" and ev.group_id == "full" for ev in allocs)
-        assert all(len(ev.page_ids) == len(ev.steps) == 1 for ev in allocs)
-
+        assert all(d["alloc/pages"] == 1 for d in deltas)
         # First occurrences walk the algorithm top to bottom.
-        first_seen = list(dict.fromkeys(steps))
-        assert first_seen == [1, 2, 3, 4, 5]
+        assert list(dict.fromkeys(steps)) == [1, 2, 3, 4, 5]
 
-        # The full interleaving: carves and evictions fire inside the
-        # batch, before the PagesAllocated record they make room for.
-        shapes = [
-            (type(ev).__name__, getattr(ev, "steps", getattr(ev, "level", None)))
-            for ev in trace
-        ]
-        assert shapes == [
-            ("PagesAllocated", (1,)),
-            ("LargePageCarved", None),
-            ("PagesAllocated", (2,)),
-            ("PagesAllocated", (1,)),
-            ("PageEvicted", "large"),
-            ("LargePageCarved", None),
-            ("PagesAllocated", (3,)),
-            ("PagesAllocated", (1,)),
-            ("PagesAllocated", (4,)),
-            ("PageEvicted", "small"),
-            ("PagesAllocated", (5,)),
+        # The full picture: carves and evictions land in the same call as
+        # the page they make room for.  Both victims held a non-zero
+        # prefix length, so the §5.1 tie-break classes them "aligned".
+        page = {"alloc/pages": 1}
+        assert deltas == [
+            {**page, "alloc/step/1": 1},
+            {**page, "alloc/step/2": 1, "alloc/large_carved": 1},
+            {**page, "alloc/step/1": 1},
+            {**page, "alloc/step/3": 1, "alloc/large_carved": 1,
+             "evict/large": 1, "evict/priority/aligned": 1, "evict/group/full": 1},
+            {**page, "alloc/step/1": 1},
+            {**page, "alloc/step/4": 1},
+            {**page, "alloc/step/5": 1, "evict/small": 1,
+             "evict/priority/aligned": 1, "evict/group/full": 1},
         ]
 
-        # Eviction events carry the victim's two-key LRU priority.
-        large_evt = next(ev for ev in trace
-                         if isinstance(ev, PageEvicted) and ev.level == "large")
-        assert large_evt.last_access == 2.0  # F's commit time
-        assert large_evt.prefix_length > 0
+    def test_rolled_back_batch_counts_no_pages(self):
+        # Step 5 runs dry mid-batch: the staged pool serves A exactly the
+        # seven pages above (carving twice and evicting twice on the way),
+        # so an eight-page batch fails on its last page and rolls back.
+        mgr, _ = self.stage()
+        pool = mgr.allocator
+        before = pool.counters()
+        assert pool.allocate_pages("full", "A", 8) is None
+        moved = delta(before, pool.counters())
+        # No page committed: neither the page total nor any step moves ...
+        assert not any(key.startswith("alloc/step/") for key in moved)
+        assert "alloc/pages" not in moved
+        # ... the seven taken pages come back as freed releases ...
+        assert moved["release/freed"] == 7
+        assert "release/cached" not in moved
+        # ... and the pool mutations the batch did make still count.
+        assert moved["alloc/large_carved"] == 2
+        assert moved["evict/large"] == 1 and moved["evict/small"] == 1
+        pool.check_invariants()
 
-    def test_prefix_hits_and_releases_are_emitted(self):
-        seen = []
-        mgr, a = self.stage(record=seen)
-        hits = [ev for ev in seen if isinstance(ev, PrefixHit)]
-        by_request = {ev.request_id: ev for ev in hits}
-        assert by_request["E"].hit_tokens == 4
-        assert by_request["E"].lookup_tokens == 8
-        assert by_request["A"].hit_tokens == 0
-        released = [ev for ev in seen if isinstance(ev, PageReleased)]
+    def test_prefix_hits_and_releases_are_counted(self):
+        mgr, a = self.stage()
+        # C, B, E, F and A each looked up once; only E hit (B's block).
+        assert mgr.counters() == {
+            "prefix/lookups": 5,
+            "prefix/hit_tokens": 4,
+            "prefix/lookup_tokens": 4 + 8 + 8 + 8 + 4,
+        }
         # B's and F's two pages each were released into the cache.
-        assert len([ev for ev in released if ev.cached]) == 4
+        assert mgr.allocator.counters()["release/cached"] == 4
 
 
 class TestEngineEvents:
@@ -268,24 +276,24 @@ class TestEngineEvents:
         assert len(of(RequestAdmitted)) == len(of(RequestFinished)) == 3
         assert admitted == finished == {"r0", "r1", "r2"}
 
-    def test_manager_events_flow_to_engine_bus(self):
+    def test_step_records_name_their_engine(self):
         model = get_model("llama3-8b")
         mgr = JengaKVCacheManager(model.kv_groups(), 2 << 30)
-        assert mgr.allocator.events is mgr.events
         bus = EventBus()
         seen = []
-        bus.subscribe(seen.append, [PagesAllocated, StepCompleted])
+        bus.subscribe(seen.append, [StepCompleted])
         eng = LLMEngine(model, H100, mgr, config=SchedulerConfig(), events=bus)
-        # The engine owns the bus; binding rewires the manager + allocator.
-        assert eng.events is bus
-        assert mgr.events is bus and mgr.allocator.events is bus
+        assert eng.events is bus and not hasattr(mgr, "events")
         eng.add_requests([Request.text("r0", token_block(0, "r", 0, 64), 2)])
         eng.run()
-        assert any(isinstance(ev, PagesAllocated) for ev in seen)
-        steps = [ev for ev in seen if isinstance(ev, StepCompleted)]
-        assert len(steps) == len(eng.steps)
+        assert len(seen) == len(eng.steps)
+        assert all(ev.engine is eng for ev in seen)
+        # The engine's one read surface covers the pool it allocated from.
+        owners = [owner for owner, _ in eng.counters_by_owner()]
+        assert owners == [eng, mgr, mgr.allocator]
+        assert eng.counters()["alloc/pages"] == mgr.allocator.counters()["alloc/pages"] > 0
 
-    def test_collector_rebuilds_counters_from_events(self):
+    def test_metrics_read_owner_counters(self):
         model = get_model("llama3-8b")
         mgr = JengaKVCacheManager(model.kv_groups(), 2 << 30)
         bus = EventBus()
@@ -299,7 +307,7 @@ class TestEngineEvents:
         ])
         metrics = eng.run()
         records = [ev.record for ev in completed]
-        assert records == metrics.steps
+        assert records == metrics.steps == eng.steps
         # The second request's prompt hits the first one's cached prefix.
-        assert metrics.prefix_lookup_tokens >= 2 * 128
-        assert metrics.prefix_hit_tokens > 0
+        assert metrics.prefix_lookup_tokens == mgr.lookup_tokens >= 2 * 128
+        assert metrics.prefix_hit_tokens == mgr.hit_tokens > 0

@@ -224,6 +224,28 @@ def test_writing_pool_version_outside_allocator_turns_tree_red(tmp_path):
     assert {f.rule for f in result.findings} == {"guarded-counter"}
 
 
+@pytest.mark.parametrize("rel,anchor,write", [
+    # A manager-side bump of the pool's release count.
+    ("core/kv_alloc.py", "        return self.allocator.pool_version\n",
+     "        self.allocator._num_released_freed += 1\n"),
+    # An engine-side write of the view's lookup count.
+    ("engine/engine.py", "        self.steps.append(record)\n",
+     "        self.manager.num_lookups += 1\n"),
+    # A consumer-side write of the engine's preemption tally.
+    ("obs/registry.py", '        reg.inc("engine/steps")\n',
+     '        event.engine._preemptions_by_reason["preempt/self"] = 0\n'),
+])
+def test_writing_owner_counter_outside_its_owner_turns_tree_red(
+    tmp_path, rel, anchor, write
+):
+    # The counters read through LLMEngine.counters() move only inside
+    # their owner (allocator, manager view, engine); a write from anywhere
+    # else would make the pulled counts drift from what happened.
+    root = _mutated_tree(tmp_path, rel, anchor, write + anchor)
+    result = lint_paths([str(root)])
+    assert {f.rule for f in result.findings} == {"guarded-counter"}
+
+
 def test_removing_subscribe_site_turns_tree_red(tmp_path):
     # AdmissionBlocked's only subscriber is the pressure monitor; dropping
     # it from the dispatch tuple orphans exactly that event (the tuple's

@@ -4,13 +4,7 @@ import pytest
 
 from repro.core.events import EventBus, RequestPreempted, StepCompleted
 from repro.core.math_utils import percentile
-from repro.engine.metrics import (
-    EngineMetrics,
-    MemorySnapshot,
-    MetricsCollector,
-    RequestMetrics,
-    StepRecord,
-)
+from repro.engine.metrics import EngineMetrics, MemorySnapshot, RequestMetrics, StepRecord
 
 
 def req(rid="r", arrival=0.0, first=1.0, finish=5.0, prompt=10, out=5, cached=0):
@@ -115,34 +109,47 @@ class TestPercentile:
             percentile([1.0], -0.1)
 
 
-class TestMetricsCollector:
-    def test_collects_from_bus(self):
-        bus = EventBus()
-        collector = MetricsCollector(bus)
-        bus.emit(StepCompleted(0, 0.5, 0, record=step()))
-        bus.emit(RequestPreempted("r0", 0.5))
-        assert len(collector.steps) == 1
-        assert collector.preemptions == 1
+class TestEngineOwnedTallies:
+    """Steps and preemptions are counted by the engine that did them."""
 
-    def test_close_unsubscribes_idempotently(self):
-        bus = EventBus()
-        collector = MetricsCollector(bus)
-        bus.emit(StepCompleted(0, 0.5, 0, record=step()))
-        collector.close()
-        collector.close()  # idempotent
-        bus.emit(StepCompleted(1, 1.0, 0, record=step(i=1)))
-        assert len(collector.steps) == 1  # post-close event not counted
+    def shared_bus_run(self):
+        from repro.engine.multi_model import MultiModelEngine
+        from repro.engine.scheduler import profile_config
+        from repro.models import get_model
+        from repro.platforms import L4
+        from repro.platforms.gpu import kv_budget
+        from repro.workloads import sharegpt
 
-    def test_closed_collector_does_not_leak_onto_shared_bus(self):
-        """Two engine runs on one bus must not cross-count events."""
+        model = get_model("gemma2-2b")
         bus = EventBus()
-        first = MetricsCollector(bus)
-        bus.emit(RequestPreempted("r0", 0.1))
-        first.close()
-        second = MetricsCollector(bus)
-        bus.emit(RequestPreempted("r1", 0.2))
-        assert first.preemptions == 1
-        assert second.preemptions == 1
+        seen = []
+        bus.subscribe(seen.append, [StepCompleted, RequestPreempted])
+        multi = MultiModelEngine(
+            {"a": model, "b": model}, L4, kv_budget(model, L4).kv_bytes // 16,
+            shared=True, events=bus, config=profile_config("vllm"),
+        )
+        # Both tenants load the pool at once, so both preempt.
+        multi.add_requests("a", sharegpt(10, seed=1))
+        multi.add_requests("b", sharegpt(10, seed=2))
+        return multi.run(max_steps=20_000), multi, seen
+
+    def test_engines_on_one_bus_keep_their_own_steps(self):
+        metrics, multi, seen = self.shared_bus_run()
+        completed = [ev for ev in seen if isinstance(ev, StepCompleted)]
+        for name, engine in multi.engines.items():
+            own = [ev.record for ev in completed if ev.engine is engine]
+            assert metrics[name].steps == own and own
+        assert sum(len(m.steps) for m in metrics.values()) == len(completed)
+
+    def test_engines_on_one_bus_do_not_cross_count_preemptions(self):
+        metrics, multi, seen = self.shared_bus_run()
+        preempted = [ev for ev in seen if isinstance(ev, RequestPreempted)]
+        for name, engine in multi.engines.items():
+            own = sum(r.num_preemptions for r in metrics[name].requests)
+            assert metrics[name].preemptions == own > 0
+            counters = engine.counters()
+            assert counters.get("preempt/victim", 0) + counters.get("preempt/self", 0) == own
+        assert sum(m.preemptions for m in metrics.values()) == len(preempted)
 
 
 class TestMemorySnapshot:

@@ -1,10 +1,10 @@
-"""PressureMonitor: event folding, engine integration, guarded emission."""
+"""PressureMonitor: record and counter folding, engine integration,
+guarded emission."""
 
 from repro.baselines import make_manager
 from repro.core.events import (
     AdmissionBlocked,
     EventBus,
-    PageEvicted,
     RequestPreempted,
     StepCompleted,
 )
@@ -20,13 +20,33 @@ from repro.workloads import token_block
 MODEL = get_model("llama3.2-1b")
 
 
-def step_event(index=0, t=1.0, memory=None):
+class Pool:
+    """A counter owner standing in for an allocator."""
+
+    def __init__(self):
+        self.counts = {}
+
+    def counters(self):
+        return dict(self.counts)
+
+
+class Engine:
+    def __init__(self, pool):
+        self.pool = pool
+
+    def counters_by_owner(self):
+        return [(self.pool, self.pool.counters())]
+
+
+def step_event(index=0, t=1.0, memory=None, engine=None):
     record = StepRecord(
         index=index, start_time=t, duration=0.01, decode_batch=1,
         prefill_tokens=0, num_running=1, num_waiting=0, num_preemptions=0,
         memory=memory,
     )
-    return StepCompleted(index=index, time=t, num_preemptions=0, record=record)
+    return StepCompleted(
+        index=index, time=t, num_preemptions=0, record=record, engine=engine
+    )
 
 
 class TestPressureMonitorUnit:
@@ -47,16 +67,35 @@ class TestPressureMonitorUnit:
     def test_per_group_eviction_rates(self):
         bus = EventBus()
         monitor = PressureMonitor(bus)
-        for _ in range(3):
-            bus.emit(PageEvicted("full", 1, "small"))
-        bus.emit(PageEvicted("win", 2, "large"))
-        bus.emit(step_event())
+        pool = Pool()
+        # The allocator counts victims per owning group, both levels.
+        pool.counts.update({"evict/small": 3, "evict/large": 1,
+                            "evict/group/full": 3, "evict/group/win": 1})
+        bus.emit(step_event(engine=Engine(pool)))
         reg = monitor.registry
         assert reg.counters["pressure/evictions"] == 4
         assert reg.counters["pressure/group/full/evictions"] == 3
         assert reg.counters["pressure/group/win/evictions"] == 1
         assert (reg.gauges["pressure/group/full/eviction_rate"]
                 > reg.gauges["pressure/group/win/eviction_rate"] > 0.0)
+
+    def test_shared_pool_evictions_count_once(self):
+        # Two engines stepping on one bus over one pool: the deltas are
+        # keyed by pool, so each eviction lands in exactly one step window.
+        bus = EventBus()
+        monitor = PressureMonitor(bus)
+        pool = Pool()
+        a, b = Engine(pool), Engine(pool)
+        pool.counts["evict/group/g"] = 2
+        bus.emit(step_event(index=0, engine=a))
+        bus.emit(step_event(index=0, engine=b))
+        pool.counts["evict/group/g"] = 5
+        bus.emit(step_event(index=1, engine=b))
+        pool.counts["evict/group/g"] = 6  # after every engine's last step
+        monitor.close()
+        reg = monitor.registry
+        assert reg.counters["pressure/evictions"] == 6
+        assert reg.counters["pressure/group/g/evictions"] == 6
 
     def test_rates_decay_over_quiet_steps(self):
         bus = EventBus()
@@ -145,7 +184,6 @@ class TestEngineEmission:
         engine = self._pressured_engine(bus)
         engine.add_requests(self._requests())
         metrics = engine.run(max_steps=20_000)
-        engine.close()
         monitor.close()
         assert len(metrics.requests) == 12
         reg = monitor.registry
@@ -168,7 +206,6 @@ class TestEngineEmission:
         engine = self._pressured_engine(bus)
         engine.add_requests(self._requests())
         engine.run(max_steps=20_000)
-        engine.close()
         assert built == []
 
     def test_gate_suppresses_redundant_block_events(self):
@@ -179,7 +216,6 @@ class TestEngineEmission:
         engine = self._pressured_engine(bus)
         engine.add_requests(self._requests())
         metrics = engine.run(max_steps=20_000)
-        engine.close()
         monitor.close()
         blocked = monitor.registry.counters["pressure/admission_blocked"]
         assert 0 < blocked < len(metrics.steps)

@@ -5,7 +5,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.events import EventBus
 from repro.core.protocols import KVCacheManager, KVCacheManagerBase
 from repro.core.registry import (
     UnknownManagerError,
@@ -73,14 +72,14 @@ class TestProtocolConformance:
         manager = model_manager(system)
         assert isinstance(manager, KVCacheManager)
         assert isinstance(manager, KVCacheManagerBase)
-        assert isinstance(manager.events, EventBus)
+        assert not hasattr(manager, "events")
         assert isinstance(manager.name, str) and manager.name
 
     @pytest.mark.parametrize("system", SPEC_SYSTEMS)
     def test_spec_managers_satisfy_protocol(self, system):
         manager = spec_manager(system)
         assert isinstance(manager, KVCacheManager)
-        assert isinstance(manager.events, EventBus)
+        assert manager.counter_sources()
 
     @pytest.mark.parametrize("system", MODEL_SYSTEMS)
     def test_protocol_surface_is_live(self, system):
@@ -102,11 +101,18 @@ class TestProtocolConformance:
         manager.release(seq, cacheable=True)
 
     @pytest.mark.parametrize("system", MODEL_SYSTEMS)
-    def test_bind_events_rewires_the_bus(self, system):
+    def test_counter_sources_are_view_then_pool(self, system):
+        # Counts are pulled from their owners: the view (prefix/offload
+        # tallies) and its allocator (pool counters), each exposing
+        # counters() with only keys that moved.
         manager = model_manager(system)
-        bus = EventBus()
-        manager.bind_events(bus)
-        assert manager.events is bus
+        view, pool = manager.counter_sources()
+        assert view is manager and pool is manager.allocator
+        assert view.counters() == {} and pool.counters() == {}
+        seq = SequenceSpec.text_only("r1", list(range(64)))
+        manager.begin_request(seq)
+        assert manager.allocate_up_to(seq, len(seq))
+        assert pool.counters()["alloc/pages"] > 0
 
 
 class TestNoDuckTyping:

@@ -101,23 +101,33 @@ class TestDeflation:
         assert_stats_equal(alloc)
 
     def test_resize_emits_guarded_quota_event(self):
+        # The resizer publishes one QuotaResized per quota move, after
+        # set_quota ran the deflation; the allocator itself has no bus.
         bus = EventBus()
         received = []
         bus.subscribe(received.append, (QuotaResized,))
-        alloc = make_allocator(events=bus)
-        alloc.set_quota("a", 3)
-        assert len(received) == 1
-        assert received[0].group_id == "a"
-        assert received[0].new_quota == 3
+        alloc = make_allocator(num_large=8)
+        pinned = alloc.allocate_pages("a", "r1", 6)  # two large pages
+        for page in pinned[:3]:  # free the first large page outright
+            alloc.release_page("a", page.page_id, cacheable=False)
+        PoolResizer(alloc, FakeMonitor(), bus, policy="static")
+        assert [(e.group_id, e.old_quota, e.new_quota) for e in received] == [
+            ("a", None, 4), ("b", None, 4),
+        ]
+        assert all(e.reclaimed == 0 for e in received)
+        assert received[0].num_owned == alloc.large_pages_owned("a")
+        assert alloc.set_quota("a", 0) == 0  # pinned: nothing reclaimable
+        assert len(received) == 2  # a direct set_quota publishes nothing
 
     def test_noop_resize_emits_nothing(self):
         bus = EventBus()
         received = []
         bus.subscribe(received.append, (QuotaResized,))
-        alloc = make_allocator(events=bus)
-        alloc.set_quota("a", 3)
-        alloc.set_quota("a", 3)
-        assert len(received) == 1  # second call is a no-op
+        alloc = make_allocator()
+        resizer = PoolResizer(alloc, FakeMonitor(), bus, policy="static")
+        assert len(received) == 2  # the equal-split partition
+        resizer._partition()
+        assert len(received) == 2  # re-laying the same quotas is a no-op
 
 
 class TestBatchedAllocRollback:

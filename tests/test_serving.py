@@ -21,9 +21,10 @@ MODEL = get_model("llama3.2-1b")
 KV = GIB // 4
 
 
-def make_replicas(n, kv=KV):
+def make_replicas(n, kv=KV, **kwargs):
     return [
-        Replica(f"replica-{i}", MODEL, H100, kv, config=SchedulerConfig())
+        Replica(f"replica-{i}", MODEL, H100, kv, config=SchedulerConfig(),
+                **kwargs)
         for i in range(n)
     ]
 
@@ -208,27 +209,32 @@ class TestServingCluster:
 
 class TestReplicaRoutingCounters:
     def test_replica_counts_its_own_routing_events(self):
-        # The replica subscribes to RequestRouted on its own bus, so the
-        # routing decision is observable per replica even after the
-        # router is gone (the orphan-event lint finding this fixes).
-        replicas = make_replicas(2)
+        # Routing counts live in the router (routed_counts); the per-replica
+        # telemetry folds the RequestRouted records on each replica's bus
+        # and must agree with it, replica by replica.
+        replicas = make_replicas(2, telemetry=True)
         router = Router(replicas, policy="round_robin")
-        requests = forked_requests(num_families=2, fanout=2)
-        for request in requests:
+        for request in forked_requests(num_families=2, fanout=2):
             router.route(request)
-        assert [r.num_routed for r in replicas] == router.routed_counts
-        assert sum(r.expected_hit_tokens for r in replicas) == (
-            router.expected_hit_tokens
-        )
+        assert [
+            r.registry.counters.get(f"routing/replica/{r.replica_id}", 0)
+            for r in replicas
+        ] == router.routed_counts
+        assert sum(
+            r.registry.counters.get("routing/expected_hit_tokens", 0)
+            for r in replicas
+        ) == router.expected_hit_tokens
         for replica in replicas:
             replica.close()
 
     def test_close_unsubscribes_routing_counter(self):
-        replicas = make_replicas(2)
+        # A closed replica's telemetry stops counting routes.
+        replicas = make_replicas(2, telemetry=True)
         router = Router(replicas, policy="round_robin")
-        replica = replicas[0]
-        replica.close()
-        replicas[1].close()
-        before = replica.num_routed
+        for replica in replicas:
+            replica.close()
         router.route(forked_requests(num_families=1, fanout=1)[0])
-        assert replica.num_routed == before
+        assert router.routed_counts == [1, 0]
+        assert [
+            r.registry.counters.get("routing/requests", 0) for r in replicas
+        ] == [0, 0]

@@ -1,34 +1,29 @@
-"""Shared-allocator event topology: no view may steal the pool's bus.
+"""Shared-allocator counters: one pool, many views, nothing counted twice.
 
-Regression suite for the multi-engine event-routing bug: several
-:class:`~repro.core.kv_manager.JengaKVCacheManager` views share one
-:class:`~repro.core.two_level.TwoLevelAllocator`, and each wrapping engine
-binds the manager onto its own per-engine bus.  The old ``bind_events``
-reassigned the *shared* ``allocator.events``, so the last bind silently
-won: per-engine subscribers saw either nothing or a co-tenant's pool
-traffic (and admission state that was then kept by bus events went stale
-on every sibling).
-
-The fix multicasts: the shared allocator's bus is an
-:class:`~repro.core.events.EventFanout` over every bound view's bus, so
-pool events reach all siblings and each view's bus stays its own.
-Admission no longer listens to any bus -- every view reads the one
-allocator's pool version -- but the cross-engine churn regression stays.
+Several :class:`~repro.core.kv_manager.JengaKVCacheManager` views share
+one :class:`~repro.core.two_level.TwoLevelAllocator`.  The pool's counts
+(allocations per §5.4 step, carves, evictions, releases) live in that one
+allocator; each view keeps only its own prefix-lookup and offload counts.
+Consumers key their deltas by owner, so an engine's telemetry sees the
+whole pool (every view's allocations) plus its own view, and two engines
+on one bus never fold the pool twice.  Admission likewise reads the one
+allocator's pool version, so cross-engine churn can never stale it.
 """
 
 import pytest
 
-from repro.core.events import (
-    EventBus,
-    EventFanout,
-    PageAllocated,
-    PagesAllocated,
-    PrefixHit,
-)
+from repro.core.events import EventBus
 from repro.core.kv_manager import JengaKVCacheManager
 from repro.core.layer_policy import FULL_ATTENTION, GroupSpec, make_policy
 from repro.core.sequence import TEXT, SequenceSpec
 from repro.core.two_level import TwoLevelAllocator
+from repro.engine.multi_model import MultiModelEngine
+from repro.engine.scheduler import profile_config
+from repro.models import get_model
+from repro.obs.registry import BusTelemetry
+from repro.platforms import L4
+from repro.platforms.gpu import kv_budget
+from repro.workloads import sharegpt
 
 _TEXT = frozenset({TEXT})
 
@@ -74,23 +69,33 @@ def _fill_through(manager, request_id, tokens):
     return seq
 
 
+def run_two_tenants(events=None):
+    """Two gemma2-2b tenants loading one shared pool at once, with a
+    ``BusTelemetry`` on each engine's private bus (or on ``events``, if
+    both engines share it); returns the engine and each bus's counters."""
+    model = get_model("gemma2-2b")
+    multi = MultiModelEngine(
+        {"a": model, "b": model}, L4, kv_budget(model, L4).kv_bytes // 16,
+        shared=True, config=profile_config("vllm"), events=events,
+    )
+    buses = [events] if events is not None else [
+        e.events for e in multi.engines.values()
+    ]
+    telemetry = [BusTelemetry(bus) for bus in buses]
+    multi.add_requests("a", sharegpt(8, seed=1))
+    multi.add_requests("b", sharegpt(8, seed=2))
+    multi.run(max_steps=20_000)
+    for t in telemetry:
+        t.close()
+    return multi, [t.registry.counters for t in telemetry]
+
+
 class TestBusStealingRegression:
     def test_can_admit_matches_uncached_after_cross_engine_churn(self):
-        """The headline regression: two shared-pool engines with persistent
-        per-replica buses (the serving-tier topology), engine restarts
-        rebinding each manager onto its own bus, and cross-engine churn in
-        between.  Pre-fix, ``allocator.events`` was last-bind-wins, so the
-        sibling bound to the *same* bus the allocator happened to point at
-        kept a clean-but-stale admission snapshot and served a wrong
-        verdict.  Admission now reads the shared allocator's live
-        counters, so no rebinding order can stale it.
-        """
+        """Two views over one pool, cross-view churn in between probes:
+        the cached and uncached admission verdicts must agree, because
+        every view reads the shared allocator's live counters."""
         _, ma, mb = _shared_pair()
-        bus_a, bus_b = EventBus(), EventBus()
-        # Engine construction order: each engine binds its manager view.
-        ma.bind_events(bus_a)
-        mb.bind_events(bus_b)
-
         # Against the empty pool, a probe needing the whole pool is
         # (exactly) admissible.
         probe = SequenceSpec.text_only(
@@ -99,46 +104,32 @@ class TestBusStealingRegression:
         assert mb.can_admit(probe) is True
         assert mb.can_admit(probe) == mb.can_admit_uncached(probe)
 
-        # Replica A restarts onto its persistent bus, then churns: half the
-        # pool becomes USED through view A.
-        ma.bind_events(bus_a)
+        # Half the pool becomes USED through view A; B re-probes.
         _fill_through(ma, "filler-a", _NUM_PAGES // 2 * _PAGE_TOKENS)
-
-        # Replica B restarts onto *its* persistent bus (a no-op rebind from
-        # B's point of view) and re-probes.  The cached and uncached
-        # verdicts must agree -- pre-fix the cached path still believed the
-        # pool was empty.
-        mb.bind_events(bus_b)
         assert mb.can_admit(probe) == mb.can_admit_uncached(probe)
         assert mb.can_admit_uncached(probe) is False
 
     def test_sibling_buses_receive_pool_events(self):
-        """Every bound view's bus sees the shared pool's allocation events
-        (per-engine pool telemetry requires it); pre-fix only the
-        last-bound bus did."""
-        _, ma, mb = _shared_pair()
-        bus_a, bus_b = EventBus(), EventBus()
-        ma.bind_events(bus_a)
-        mb.bind_events(bus_b)
-        alloc_events = (PageAllocated, PagesAllocated)
-        seen_a, seen_b = [], []
-        bus_a.subscribe(seen_a.append, alloc_events)
-        bus_b.subscribe(seen_b.append, alloc_events)
-
-        _fill_through(ma, "filler-a", 8 * _PAGE_TOKENS)
-        assert seen_a and seen_b
+        """Two engines over one pool, each on its own bus: telemetry on
+        either bus reads the whole pool (both tenants' traffic), because
+        both views name the one allocator as their pool owner, while its
+        prefix counts are its own view's."""
+        multi, (counters_a, counters_b) = run_two_tenants()
+        allocator = multi.engines["a"].manager.allocator
+        views = {name: e.manager for name, e in multi.engines.items()}
+        assert views["a"].counter_sources()[1] is views["b"].counter_sources()[1]
+        pool = allocator.counters()
+        assert pool["evict/large"] > 0
+        for counters, name in ((counters_a, "a"), (counters_b, "b")):
+            for key in ("alloc/pages", "alloc/large_carved", "evict/large",
+                        "release/freed"):
+                assert counters[key] == pool[key]
+            assert counters["prefix/lookups"] == views[name].counters()["prefix/lookups"]
 
     def test_manager_level_events_stay_per_view(self):
-        """Manager-level records (prefix lookups) are per-engine traffic and
-        must NOT leak onto sibling buses -- only pool events multicast."""
+        """Prefix lookups are per-view traffic: they are counted by the
+        view that ran them, and a sibling's counters do not move."""
         _, ma, mb = _shared_pair()
-        bus_a, bus_b = EventBus(), EventBus()
-        ma.bind_events(bus_a)
-        mb.bind_events(bus_b)
-        hits_a, hits_b = [], []
-        bus_a.subscribe(hits_a.append, [PrefixHit])
-        bus_b.subscribe(hits_b.append, [PrefixHit])
-
         seq = _fill_through(ma, "lookup-a", 8 * _PAGE_TOKENS)
         ma.release(seq, cacheable=True)
         again = SequenceSpec.text_only(
@@ -146,68 +137,19 @@ class TestBusStealingRegression:
         )
         ma.begin_request(again)
         ma.release(again, cacheable=True)
-        assert hits_a
-        assert not hits_b
+        assert ma.counters()["prefix/lookups"] == 2
+        assert ma.counters()["prefix/hit_tokens"] > 0
+        assert mb.counters() == {}
 
 
-class TestEventFanout:
-    def test_emit_reaches_every_member_and_local_subscribers(self):
-        fanout = EventFanout()
-        a, b = EventBus(), EventBus()
-        fanout.attach(a)
-        fanout.attach(b)
-        local, seen_a, seen_b = [], [], []
-        fanout.subscribe(local.append, [PrefixHit])
-        a.subscribe(seen_a.append)
-        b.subscribe(seen_b.append)
-        event = PrefixHit("r", 4, 8)
-        fanout.emit(event)
-        assert seen_a == seen_b == local == [event]
-
-    def test_has_subscribers_unions_member_interest(self):
-        fanout = EventFanout()
-        quiet = EventBus()
-        fanout.attach(quiet)
-        assert not fanout.has_subscribers(PrefixHit)
-        quiet.subscribe(lambda e: None, [PrefixHit])
-        assert fanout.has_subscribers(PrefixHit)
-        assert not fanout.has_subscribers(PageAllocated)
-
-    def test_attach_is_idempotent_and_replace_swaps(self):
-        fanout = EventFanout()
-        a, b = EventBus(), EventBus()
-        fanout.attach(a)
-        fanout.attach(a)
-        assert fanout.members == (a,)
-        fanout.replace(a, b)
-        assert fanout.members == (b,)
-        # Replacing an unknown member just attaches the new bus.
-        fanout.replace(a, a)
-        assert fanout.members == (b, a)
-        fanout.detach(b)
-        assert fanout.members == (a,)
-
-    def test_shared_ctor_installs_fanout_over_existing_bus(self):
-        """A shared allocator built with an explicit bus keeps it as a
-        fan-out member, so pre-existing pool observers keep their feed."""
-        observer = EventBus()
-        observed = []
-        observer.subscribe(observed.append, [PageAllocated, PagesAllocated])
-        specs_a, specs_b = _specs("a"), _specs("b")
-        all_specs = {**specs_a, **specs_b}
-        policies = {g: make_policy(s) for g, s in all_specs.items()}
-        allocator = TwoLevelAllocator(
-            _PAGE_BYTES * _NUM_PAGES, all_specs, policies,
-            enable_prefix_caching=True, events=observer,
-        )
-        total = _PAGE_BYTES * _NUM_PAGES
-        ma = JengaKVCacheManager(specs_a, total, shared_allocator=allocator)
-        mb = JengaKVCacheManager(specs_b, total, shared_allocator=allocator)
-        assert isinstance(allocator.events, EventFanout)
-        assert observer in allocator.events.members
-        _fill_through(ma, "filler", 4 * _PAGE_TOKENS)
-        assert observed
-        assert mb.events is not ma.events
+class TestSharedPoolTelemetry:
+    def test_one_bus_folds_the_shared_pool_once(self):
+        multi, (counters,) = run_two_tenants(events=EventBus())
+        pool = multi.engines["a"].manager.allocator.counters()
+        assert counters["alloc/pages"] == pool["alloc/pages"]
+        assert counters["evict/large"] == pool["evict/large"]
+        views = [e.manager.counters() for e in multi.engines.values()]
+        assert counters["prefix/lookups"] == sum(v["prefix/lookups"] for v in views)
 
 
 if __name__ == "__main__":

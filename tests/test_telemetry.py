@@ -1,20 +1,12 @@
-"""Telemetry registry, histogram/timeline math, and the bus subscriber."""
+"""Telemetry registry, histogram/timeline math, and the bus adapter."""
 
 import pytest
 
 from repro.core.events import (
     EventBus,
-    LargePageCarved,
-    PageAllocated,
-    PageEvicted,
-    PageEvictedToHost,
-    PageReleased,
-    PagesAllocated,
-    PrefixHit,
     RequestAdmitted,
     RequestFailed,
     RequestFinished,
-    RequestPreempted,
     RequestQueued,
     RequestRouted,
     StepCompleted,
@@ -164,12 +156,37 @@ def _snapshot():
     )
 
 
+class Owner:
+    """A counter owner: ``counters()`` over a plain, mutable dict."""
+
+    def __init__(self, **counts):
+        self.counts = dict(counts)
+
+    def counters(self):
+        return dict(self.counts)
+
+
+class Engine:
+    """The slice of LLMEngine the telemetry samples: its counter owners."""
+
+    def __init__(self, *owners):
+        self.owners = owners
+
+    def counters_by_owner(self):
+        return [(owner, owner.counters()) for owner in self.owners]
+
+
+def step_on(bus, engine, index=0):
+    bus.emit(StepCompleted(index, 0.5 * (index + 1), 0, engine=engine))
+
+
 class TestBusTelemetry:
     def test_allocation_step_histogram(self):
         bus = EventBus()
         telemetry = BusTelemetry(bus)
-        for step in (1, 2, 2, 3, 5):
-            bus.emit(PageAllocated("g", "r0", step, step=step))
+        pool = Owner(**{"alloc/pages": 5, "alloc/step/1": 1, "alloc/step/2": 2,
+                        "alloc/step/3": 1, "alloc/step/5": 1})
+        step_on(bus, Engine(pool))
         reg = telemetry.registry
         assert reg.counters["alloc/pages"] == 5
         assert reg.counters["alloc/step/2"] == 2
@@ -177,44 +194,54 @@ class TestBusTelemetry:
         assert "alloc/step/4" not in reg.counters
 
     def test_batched_allocation_counts_every_page(self):
-        # One PagesAllocated record carries len(page_ids) pool mutations;
-        # alloc/pages and the §5.4 step histogram must agree with the
-        # equivalent per-page emission path.
+        # A batch and a single allocation on a real allocator, folded
+        # over two steps: every page counted once under its §5.4 step.
+        from tests.test_two_level import make_allocator
+
+        alloc = make_allocator(num_large=4)
+        engine = Engine(alloc)
         bus = EventBus()
         telemetry = BusTelemetry(bus)
-        bus.emit(PagesAllocated("g", "r0", (1, 2, 3), (1, 2, 2)))
-        bus.emit(PageAllocated("g", "r0", 4, step=5))
+        assert alloc.allocate_pages("a", "r0", 3) is not None
+        step_on(bus, engine, 0)
+        assert alloc.allocate_page("a", "r0") is not None
+        step_on(bus, engine, 1)
+        step_on(bus, engine, 2)  # nothing new: nothing folded twice
         reg = telemetry.registry
         assert reg.counters["alloc/pages"] == 4
-        assert reg.counters["alloc/step/1"] == 1
+        assert reg.counters["alloc/step/1"] == 2
         assert reg.counters["alloc/step/2"] == 2
-        assert reg.counters["alloc/step/5"] == 1
+        assert reg.counters["engine/steps"] == 3
 
     def test_eviction_provenance(self):
         bus = EventBus()
         telemetry = BusTelemetry(bus)
-        bus.emit(PageEvicted("g", 1, "small", prefix_length=0.0))
-        bus.emit(PageEvicted("g", 2, "large", prefix_length=3.0))
+        pool = Owner(**{"evict/small": 1, "evict/large": 1,
+                        "evict/priority/balanced": 1, "evict/priority/aligned": 1,
+                        "evict/group/g": 2})
+        step_on(bus, Engine(pool))
         reg = telemetry.registry
         assert reg.counters["evict/small"] == 1
         assert reg.counters["evict/large"] == 1
         assert reg.counters["evict/priority/balanced"] == 1
         assert reg.counters["evict/priority/aligned"] == 1
+        # Per-group victims feed the pressure monitor, not telemetry.
+        assert not any(k.startswith("evict/group/") for k in reg.counters)
 
     def test_lifecycle_prefix_and_offload_counters(self):
         bus = EventBus()
         telemetry = BusTelemetry(bus)
+        engine_owner = Owner(**{"preempt/victim": 1, "preempt/self": 1})
+        view = Owner(**{"prefix/lookups": 1, "prefix/hit_tokens": 8,
+                        "prefix/lookup_tokens": 64, "offload/spills": 1,
+                        "offload/spill_bytes": 4096})
+        pool = Owner(**{"alloc/large_carved": 1, "release/cached": 1,
+                        "release/freed": 1})
         bus.emit(RequestQueued("r0", 0.0))
         bus.emit(RequestAdmitted("r0", 0.1))
-        bus.emit(PrefixHit("r0", 8, 64))
-        bus.emit(LargePageCarved("g", 0, 4))
-        bus.emit(PageReleased("g", 1, cached=True))
-        bus.emit(PageReleased("g", 2, cached=False))
-        bus.emit(PageEvictedToHost("g", 99, 4096))
-        bus.emit(RequestPreempted("r1", 0.2, reason="victim"))
-        bus.emit(RequestPreempted("r2", 0.3, reason="self"))
         bus.emit(RequestFinished("r0", 0.4))
         bus.emit(RequestFailed("r3", 0.5))
+        step_on(bus, Engine(engine_owner, view, pool))
         c = telemetry.registry.counters
         assert c["requests/queued"] == 1
         assert c["requests/admitted"] == 1
@@ -230,6 +257,38 @@ class TestBusTelemetry:
         assert c["preempt/self"] == 1
         assert c["requests/finished"] == 1
         assert c["requests/failed"] == 1
+
+    def test_reported_zero_count_still_creates_its_key(self):
+        # A lookup that hit nothing reports hit_tokens == 0; the key is
+        # present (as it is for every counter the owner reports).
+        bus = EventBus()
+        telemetry = BusTelemetry(bus)
+        step_on(bus, Engine(Owner(**{"prefix/lookups": 1, "prefix/hit_tokens": 0})))
+        assert telemetry.registry.counters["prefix/hit_tokens"] == 0
+
+    def test_shared_pool_is_folded_once(self):
+        # Two engines over one pool on one bus: each step samples the
+        # stepping engine, but the pool's deltas are keyed by the pool,
+        # so its evictions count once.
+        bus = EventBus()
+        telemetry = BusTelemetry(bus)
+        pool = Owner(**{"evict/large": 2})
+        a, b = Engine(Owner(), pool), Engine(Owner(), pool)
+        step_on(bus, a, 0)
+        step_on(bus, b, 0)
+        pool.counts["evict/large"] = 3
+        step_on(bus, b, 1)
+        step_on(bus, a, 1)
+        assert telemetry.registry.counters["evict/large"] == 3
+
+    def test_close_takes_a_final_sample(self):
+        bus = EventBus()
+        telemetry = BusTelemetry(bus)
+        pool = Owner(**{"release/freed": 1})
+        step_on(bus, Engine(pool))
+        pool.counts["release/freed"] = 4  # after the engine's last step
+        telemetry.close()
+        assert telemetry.registry.counters["release/freed"] == 4
 
     def test_step_feeds_memory_timeline_and_phases(self):
         bus = EventBus()
@@ -296,14 +355,14 @@ class TestReport:
     def _registry(self):
         bus = EventBus()
         telemetry = BusTelemetry(bus)
-        bus.emit(PageAllocated("g", "r0", 1, step=2))
         record = StepRecord(
             index=0, start_time=0.0, duration=0.5, decode_batch=1,
             prefill_tokens=8, num_running=1, num_waiting=0,
             num_preemptions=0, memory=_snapshot(),
             phases={"schedule": 1e-4},
         )
-        bus.emit(StepCompleted(0, 0.5, 0, record=record))
+        pool = Owner(**{"alloc/pages": 1, "alloc/step/2": 1})
+        bus.emit(StepCompleted(0, 0.5, 0, record=record, engine=Engine(pool)))
         return telemetry.registry
 
     def test_render_report_sections(self):

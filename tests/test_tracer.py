@@ -247,7 +247,6 @@ class TestEngineIntegration:
     def test_step_records_carry_phases(self):
         engine, tracer = self._traced_engine()
         metrics = engine.run()
-        engine.close()
         assert metrics.steps, "no steps ran"
         for record in metrics.steps:
             assert record.phases is not None
@@ -258,7 +257,6 @@ class TestEngineIntegration:
     def test_phase_sums_bounded_by_step_spans(self):
         engine, tracer = self._traced_engine()
         metrics = engine.run()
-        engine.close()
         step_spans = [s for s in tracer.spans if s.cat == "step"]
         assert len(step_spans) == len(metrics.steps)
         slack = 1e-9  # float accumulation across pause/resume marks
@@ -281,7 +279,6 @@ class TestEngineIntegration:
     def test_traced_trace_exports_valid(self, tmp_path):
         engine, tracer = self._traced_engine()
         engine.run()
-        engine.close()
         path = tmp_path / "engine_trace.json"
         write_chrome_trace(str(path), tracer)
         with open(path) as f:

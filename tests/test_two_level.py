@@ -295,15 +295,13 @@ class TestRequestAwareAblation:
         """With request_aware=False the first-fit hit must be tagged
         step=0 (pre-fix it reported step=4 after a pointless step-1
         probe of the per-request buckets)."""
-        from repro.core.events import EventBus, PageAllocated
-
-        bus = EventBus()
-        seen = []
-        bus.subscribe(seen.append, [PageAllocated])
-        alloc = make_allocator(num_large=1, request_aware=False, events=bus)
+        alloc = make_allocator(num_large=1, request_aware=False)
         alloc.allocate_page("a", "r1")   # empty pool -> carve (step 2)
+        assert alloc.counters()["alloc/step/2"] == 1
         alloc.allocate_page("a", "r2")   # first-fit from the pool
-        assert [e.step for e in seen] == [2, 0]
+        counters = alloc.counters()
+        assert counters["alloc/step/0"] == 1
+        assert "alloc/step/4" not in counters and "alloc/step/1" not in counters
 
     def test_ablation_ignores_request_association(self):
         alloc = make_allocator(num_large=2, request_aware=False)
@@ -318,22 +316,19 @@ class TestRequestAwareAblation:
 
 
 class TestBatchedAllocation:
-    def test_batch_emits_exactly_one_event(self):
-        from repro.core.events import EventBus, PageAllocated, PagesAllocated
-
-        bus = EventBus()
-        seen = []
-        bus.subscribe(seen.append, [PageAllocated, PagesAllocated])
-        alloc = make_allocator(num_large=4, events=bus)
+    def test_batch_counts_every_page_once(self):
+        alloc = make_allocator(num_large=4)
         pages = alloc.allocate_pages("a", "r1", 5)
         assert pages is not None and len(pages) == 5
-        batch_events = [e for e in seen if isinstance(e, PagesAllocated)]
-        assert len(batch_events) == 1
-        assert not any(isinstance(e, PageAllocated) for e in seen)
-        ev = batch_events[0]
-        assert ev.num_pages == 5
-        assert ev.page_ids == tuple(p.page_id for p in pages)
-        assert len(ev.steps) == 5
+        counters = alloc.counters()
+        assert counters["alloc/pages"] == 5
+        steps = sum(v for k, v in counters.items() if k.startswith("alloc/step/"))
+        assert steps == 5
+        # The same five pages allocated one by one count identically.
+        singles = make_allocator(num_large=4)
+        for _ in range(5):
+            singles.allocate_page("a", "r1")
+        assert singles.counters() == counters
 
     def test_batch_matches_singles(self):
         one_by_one = make_allocator(num_large=4)
@@ -348,16 +343,14 @@ class TestBatchedAllocation:
         batched.check_invariants()
 
     def test_batch_is_all_or_nothing(self):
-        from repro.core.events import EventBus, PageReleased
-
-        bus = EventBus()
-        released = []
-        bus.subscribe(released.append, [PageReleased])
-        alloc = make_allocator(num_large=1, events=bus)  # 3 'a' slots total
+        alloc = make_allocator(num_large=1)  # 3 'a' slots total
         before_free = alloc.stats().free_bytes
         assert alloc.allocate_pages("a", "r1", 4) is None
-        # Partial takes were rolled back (non-cacheably) ...
-        assert all(not ev.cached for ev in released)
+        # Partial takes were rolled back (non-cacheably, never counted as
+        # allocations) ...
+        counters = alloc.counters()
+        assert counters["release/freed"] == 3
+        assert "release/cached" not in counters and "alloc/pages" not in counters
         # ... leaving the pool exactly where it started.
         assert alloc.stats().free_bytes == before_free
         fast, slow = alloc.stats(), alloc.stats_slow()
@@ -365,31 +358,23 @@ class TestBatchedAllocation:
         alloc.check_invariants()
 
     def test_empty_batch_is_a_noop(self):
-        from repro.core.events import EventBus, PagesAllocated
-
-        bus = EventBus()
-        seen = []
-        bus.subscribe(seen.append, [PagesAllocated])
-        alloc = make_allocator(events=bus)
+        alloc = make_allocator()
+        version = alloc.pool_version
         assert alloc.allocate_pages("a", "r1", 0) == []
-        assert seen == []
+        assert alloc.counters() == {}
+        assert alloc.pool_version == version
 
     def test_batch_steps_follow_paper_order(self):
         alloc = make_allocator(num_large=2)
-        from repro.core.events import EventBus, PagesAllocated
-
-        bus = EventBus()
-        seen = []
-        bus.subscribe(seen.append, [PagesAllocated])
-        alloc.events = bus
         pages = alloc.allocate_pages("a", "r1", 4)
         assert pages is not None
-        (ev,) = seen
         # First page carves (step 2), later ones drain the request's own
         # free slots (step 1), spilling into a second carve when the
-        # first large page fills.
-        assert ev.steps[0] == 2
-        assert set(ev.steps) <= {1, 2}
+        # first large page fills: 3 slots per large page -> 2 + 1 + 1.
+        counters = alloc.counters()
+        assert counters["alloc/step/2"] == 2
+        assert counters["alloc/step/1"] == 2
+        assert counters["alloc/large_carved"] == 2
 
     def test_batch_stats_match_slow_recount(self):
         alloc = make_allocator(num_large=4)

@@ -149,3 +149,72 @@ class TestEvictionAcrossStreams:
         s2 = vlm_seq("r2", img, range(1, 9), extra=[9])
         # Self-attention alone cannot carry the hit past the image span.
         assert mgr.begin_request(s2) == 0
+
+
+class TestVisionDrawLifetime:
+    """Per-image eviction draws live exactly as long as their request.
+
+    A fixed-seed paligemma2 run on a small pool (preemptions included)
+    records the prefix length of every vision-embedding page at release.
+    """
+
+    #: Released vision-page prefix lengths of this run, recorded before
+    #: the draws moved onto the request: their count and the sha256 of
+    #: their ``repr`` list, in release order.
+    RELEASES = 10688
+    RELEASES_SHA256 = "a3a9e2a8c0e9b675ecbf20bc1edc6d185b263a5ec1bf8f2b3a908f8584a60dfb"
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        from repro.baselines import make_manager
+        from repro.core.layer_policy import VisionEmbeddingPolicy
+        from repro.engine import LLMEngine
+        from repro.engine.scheduler import profile_config
+        from repro.models import get_model
+        from repro.platforms import H100
+        from repro.platforms.gpu import kv_budget
+        from repro.workloads import mmmu_pro
+
+        model = get_model("paligemma2-10b")
+        mgr = make_manager("jenga", model, kv_budget(model, H100).kv_bytes // 16, seed=1)
+        (vision,) = [g for g, p in mgr.policies.items()
+                     if isinstance(p, VisionEmbeddingPolicy)]
+        released = []  # (request id, prefix length) per vision-page release
+        allocator = mgr.allocator
+        release_page = allocator.release_page
+
+        def recording_release(group_id, page_id, cacheable=True):
+            if group_id == vision:
+                page = allocator.groups[group_id].pages[page_id]
+                released.append((page.request_id, page.prefix_length))
+            return release_page(group_id, page_id, cacheable)
+
+        allocator.release_page = recording_release
+        engine = LLMEngine(model, H100, mgr, config=profile_config("vllm"))
+        requests = mmmu_pro(8, model, seed=1)
+        engine.add_requests(requests)
+        metrics = engine.run(max_steps=20_000)
+        return mgr.policies[vision], requests, metrics, released
+
+    def test_drained_run_leaves_no_per_request_state(self, run):
+        policy, requests, metrics, _ = run
+        assert len(metrics.requests) == len(requests)
+        assert all(not v for v in vars(policy).values() if isinstance(v, dict))
+
+    def test_preempted_request_keeps_its_per_image_values(self, run):
+        _, requests, metrics, released = run
+        preempted = {r.request_id for r in metrics.requests if r.num_preemptions}
+        assert preempted
+        images = {r.request_id: len(r.seq.image_spans) for r in requests}
+        for rid in preempted:
+            values = {value for owner, value in released if owner == rid}
+            # One draw per image, however many admissions the request had.
+            assert 0 < len(values) <= images[rid]
+
+    def test_release_prefix_lengths_match_recorded_run(self, run):
+        import hashlib
+
+        released = [value for _, value in run[3]]
+        assert len(released) == self.RELEASES
+        digest = hashlib.sha256(repr(released).encode()).hexdigest()
+        assert digest == self.RELEASES_SHA256
